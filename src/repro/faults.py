@@ -228,7 +228,7 @@ class FaultPlan:
         unknown = set(document) - {"faults", "store_dir", "manifest_path"}
         if unknown:
             raise ConfigurationError(
-                f"unknown fault-plan keys {sorted(unknown)}; "
+                f"unknown fault-plan keys {sorted(unknown, key=str)}; "
                 f"accepted: ['faults', 'manifest_path', 'store_dir']")
         entries = document.get("faults", [])
         if not isinstance(entries, (list, tuple)):
@@ -242,7 +242,7 @@ class FaultPlan:
                                 "exit_code"}
             if bad:
                 raise ConfigurationError(
-                    f"unknown fault keys {sorted(bad)}")
+                    f"unknown fault keys {sorted(bad, key=str)}")
             faults.append(FaultSpec(
                 shard=int(entry.get("shard", -1)),
                 attempt=int(entry.get("attempt", 1)),

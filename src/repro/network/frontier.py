@@ -33,6 +33,7 @@ asserts.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -50,7 +51,8 @@ from repro.radio.link import LinkParams
 from repro.units import kmh_to_ms
 
 __all__ = ["Technology", "TechnologyOption", "TechnologyCatalog",
-           "SegmentFrontiers", "segment_frontiers", "fixed_options_power_w"]
+           "SegmentFrontiers", "UniqueRows", "segment_frontiers",
+           "fixed_options_power_w"]
 
 _DAY_S = 86_400.0
 _HOURS_PER_YEAR_OVER_KWH = 24.0 * 365.0 / 1000.0
@@ -246,6 +248,62 @@ class SegmentFrontiers:
         """Lowest achievable network energy (min feasible option per row)."""
         energy = np.where(self.feasible, self.energy_w, np.inf)
         return float(energy.min(axis=1).sum())
+
+    @functools.cached_property
+    def unique_rows(self) -> UniqueRows:
+        """The distinct frontier rows, computed once per frontier object."""
+        return UniqueRows.of(self)
+
+
+@dataclass(frozen=True)
+class UniqueRows:
+    """The distinct rows of a :class:`SegmentFrontiers` and the row map.
+
+    Segments sharing a speed class, demand and length have identical
+    ``[option]`` rows, so a large graph collapses to a few dozen distinct
+    rows.  Two rows are the same when their inf-masked cost and energy and
+    their feasibility mask agree byte for byte.  Nothing relies on rows
+    actually repeating: on all-distinct rows ``index`` is a permutation of
+    the segments.
+
+    Attributes
+    ----------
+    index:
+        First full row of each unique row (``np.unique`` ``return_index``),
+        so ``frontiers.cost_eur[index]`` are the unique cost rows.
+    inverse:
+        Unique row of every full row, canonical segment order:
+        ``cost_eur[index][inverse]`` expands back to the full rows.
+    """
+
+    index: np.ndarray
+    inverse: np.ndarray
+
+    @classmethod
+    def of(cls, frontiers: SegmentFrontiers) -> UniqueRows:
+        """Compress the rows of ``frontiers`` with one ``np.unique`` pass.
+
+        Args:
+            frontiers: The full frontier arrays.
+
+        Returns:
+            The unique rows' first indices and the full-row map.
+        """
+        feasible = frontiers.feasible
+        n_rows, n_options = feasible.shape
+        width = 8 * n_options  # bytes of one float64 frontier row
+        # Filled block by block, so at most one masked [segment, option]
+        # temporary is alive at a time: the pass adds little to peak RSS.
+        key = np.empty((n_rows, 2 * width + n_options), dtype=np.uint8)
+        key[:, :width] = np.where(feasible, frontiers.cost_eur,
+                                  np.inf).view(np.uint8)
+        key[:, width:2 * width] = np.where(feasible, frontiers.energy_w,
+                                           np.inf).view(np.uint8)
+        key[:, 2 * width:] = feasible
+        rows = key.view(np.dtype((np.void, key.shape[1]))).ravel()
+        _, index, inverse = np.unique(rows, return_index=True,
+                                      return_inverse=True)
+        return cls(index=index, inverse=inverse.ravel())
 
 
 def _segment_cost(length_km, n_seg, n_service, n_donor, energy_w,

@@ -9,6 +9,16 @@ dual is one-dimensional and the solver is a Lagrangian bisection over the
 ``[segment, option]`` arrays — pure numpy argmin passes, never a
 per-segment Python loop.
 
+Unique rows: segments with the same speed class, demand and length share
+one frontier row, so a 10 000-segment graph has under a hundred distinct
+rows.  Every selection pass runs on ``SegmentFrontiers.unique_rows``
+(computed once per frontier object) and is expanded to all segments through
+the inverse index; every budget check and every reported total gathers the
+full rows and sums them in canonical segment order.  A row's choice depends
+only on that row's values, so the result is bit-identical to selecting on
+the full arrays, and correctness never depends on rows repeating — on a
+graph of all-distinct rows the passes simply cost what full-row passes do.
+
 Determinism: ties in the penalized score break toward the lower constrained
 total and then the lowest option index, so the assignment is a pure
 function of the frontier arrays — the property ``run_study`` relies on for
@@ -146,15 +156,14 @@ class NetworkAssignment:
         return out
 
 
-def _select(frontiers: SegmentFrontiers, objective: np.ndarray,
+def _select(feasible: np.ndarray, objective: np.ndarray,
             constrained: np.ndarray, lam: float) -> np.ndarray:
-    """Per-segment argmin of ``objective + lam * constrained``.
+    """Per-row argmin of ``objective + lam * constrained``.
 
     Infeasible cells are masked with ``inf`` *before* the price is applied
     (``0 * inf`` would poison the score with NaN at ``lam == 0``).  Ties
     break toward the lower constrained total, then the lowest option index.
     """
-    feasible = frontiers.feasible
     score = np.where(feasible, objective + lam * constrained, np.inf)
     best = score.min(axis=1, keepdims=True)
     tied = score == best
@@ -166,19 +175,38 @@ def _select(frontiers: SegmentFrontiers, objective: np.ndarray,
     return np.argmax(tie_metric == best_metric, axis=1)
 
 
-def _totals(frontiers: SegmentFrontiers, choice: np.ndarray,
-            values: np.ndarray) -> float:
+def _totals(choice: np.ndarray, values: np.ndarray) -> float:
     rows = np.arange(choice.size)
     return float(values[rows, choice].sum())
+
+
+def _selector(frontiers: SegmentFrontiers, objective: np.ndarray,
+              constrained: np.ndarray):
+    """``lam -> full-row choice``, selecting on the unique frontier rows.
+
+    A row's choice depends only on that row's values, so selecting once per
+    unique row and expanding through the inverse index gives exactly the
+    full-row selection.
+    """
+    rows = frontiers.unique_rows
+    feasible = frontiers.feasible[rows.index]
+    objective = objective[rows.index]
+    constrained = constrained[rows.index]
+
+    def select(lam: float) -> np.ndarray:
+        return _select(feasible, objective, constrained, lam)[rows.inverse]
+
+    return select
 
 
 def _solve_budget(frontiers: SegmentFrontiers, objective: np.ndarray,
                   constrained: np.ndarray, budget: float,
                   budget_name: str) -> tuple[np.ndarray, float]:
     """Min total objective s.t. total constrained <= budget (Lagrangian)."""
+    select = _selector(frontiers, objective, constrained)
     # Unpriced solution: if it already fits, the budget is slack.
-    choice = _select(frontiers, objective, constrained, 0.0)
-    if _totals(frontiers, choice, constrained) <= budget:
+    choice = select(0.0)
+    if _totals(choice, constrained) <= budget:
         return choice, 0.0
 
     # Full-scan minima: definitive infeasibility check before any pricing.
@@ -196,8 +224,7 @@ def _solve_budget(frontiers: SegmentFrontiers, objective: np.ndarray,
     # Bracket the price: grow hi until its selection fits the budget.
     hi = 1.0
     for _ in range(_LAMBDA_GROWTH_LIMIT):
-        choice = _select(frontiers, objective, constrained, hi)
-        if _totals(frontiers, choice, constrained) <= budget:
+        if _totals(select(hi), constrained) <= budget:
             break
         hi *= 2.0
     else:  # pragma: no cover - min_constrained check makes this unreachable
@@ -209,12 +236,11 @@ def _solve_budget(frontiers: SegmentFrontiers, objective: np.ndarray,
     lo = 0.0
     for _ in range(_BISECTION_ITERATIONS):
         mid = 0.5 * (lo + hi)
-        choice = _select(frontiers, objective, constrained, mid)
-        if _totals(frontiers, choice, constrained) <= budget:
+        if _totals(select(mid), constrained) <= budget:
             hi = mid
         else:
             lo = mid
-    return _select(frontiers, objective, constrained, hi), hi
+    return select(hi), hi
 
 
 def optimize_network(graph: NetworkGraph | None = None,
@@ -284,10 +310,10 @@ def optimize_network(graph: NetworkGraph | None = None,
         choice, lam = _solve_budget(frontiers, energy, cost,
                                     float(cost_budget_eur), "cost")
     else:
-        choice, lam = _select(frontiers, cost, energy, 0.0), 0.0
+        choice, lam = _selector(frontiers, cost, energy)(0.0), 0.0
 
-    total_cost = _totals(frontiers, choice, cost)
-    total_energy = _totals(frontiers, choice, energy)
+    total_cost = _totals(choice, cost)
+    total_energy = _totals(choice, energy)
     if (energy_budget_w is not None and cost_budget_eur is not None
             and total_cost > float(cost_budget_eur)):
         masked = np.where(frontiers.feasible, cost, np.inf)

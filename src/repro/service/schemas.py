@@ -127,7 +127,7 @@ class JobRequest:
         unknown = set(payload) - _REQUEST_KEYS
         if unknown:
             raise ConfigurationError(
-                f"unknown request keys {sorted(unknown)}; "
+                f"unknown request keys {sorted(unknown, key=str)}; "
                 f"accepted: {sorted(_REQUEST_KEYS)}")
         if "study" not in payload:
             raise ConfigurationError("request needs a 'study' document")

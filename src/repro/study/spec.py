@@ -266,7 +266,7 @@ def study_from_mapping(document: dict, source: str = "<mapping>") -> StudySpec:
     unknown = set(document) - _TOP_LEVEL_KEYS
     if unknown:
         raise ConfigurationError(
-            f"{source}: unknown study keys {sorted(unknown)}; "
+            f"{source}: unknown study keys {sorted(unknown, key=str)}; "
             f"accepted: {sorted(_TOP_LEVEL_KEYS)}")
     for required in ("name", "engine", "axes"):
         if required not in document:

@@ -90,6 +90,15 @@ class TestFaultPlan:
         with pytest.raises(ConfigurationError, match=match):
             FaultSpec(**fields)
 
+    def test_unknown_keys_of_mixed_types_are_reported(self):
+        with pytest.raises(ConfigurationError,
+                           match=r"unknown fault-plan keys \[1, 'x'\]"):
+            FaultPlan.from_mapping({1: "y", "x": []})
+        with pytest.raises(ConfigurationError,
+                           match=r"unknown fault keys \[2, 'when'\]"):
+            FaultPlan.from_mapping({"faults": [{"shard": 0, 2: 0,
+                                                "when": "now"}]})
+
     def test_corrupt_requires_store_dir(self):
         with pytest.raises(ConfigurationError, match="store_dir"):
             FaultPlan(faults=(FaultSpec(shard=0, action="corrupt"),))

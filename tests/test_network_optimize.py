@@ -11,7 +11,10 @@ Seeded, deterministic properties of the Lagrangian assignment:
   energy totals exactly (``==``, not approximately);
 * **infeasibility discipline** — budgets below the minimum achievable raise
   :class:`~repro.errors.InfeasibleError` only after the full frontier scan,
-  with the true minima attached.
+  with the true minima attached;
+* **unique-row selection** — choosing on the distinct frontier rows gives
+  the bit-identical assignment, price and totals of a full-row reference
+  oracle (kept here, not in the library).
 """
 
 import math
@@ -280,3 +283,189 @@ class TestAssignmentSurface:
         catalog = TechnologyCatalog.from_names("conventional,mobile_relay")
         labels = [o.label for o in catalog.options()]
         assert labels == ["conventional@500", "mobile_relay@2650"]
+
+
+# -- unique-row selection vs the full-row oracle ------------------------------
+
+
+def _oracle_select(feasible, objective, constrained, lam):
+    """The full-row selection: argmin, then tie-breaks, on every row."""
+    score = np.where(feasible, objective + lam * constrained, np.inf)
+    best = score.min(axis=1, keepdims=True)
+    tied = score == best
+    tie_metric = np.where(tied, np.where(feasible, constrained, np.inf),
+                          np.inf)
+    best_metric = tie_metric.min(axis=1, keepdims=True)
+    return np.argmax(tie_metric == best_metric, axis=1)
+
+
+def _oracle_total(choice, values):
+    return float(values[np.arange(choice.size), choice].sum())
+
+
+def _oracle_solve(frontiers, objective, constrained, budget):
+    """Doubling bracket plus 64-step bisection over the full rows."""
+    feasible = frontiers.feasible
+
+    def fits(lam):
+        choice = _oracle_select(feasible, objective, constrained, lam)
+        return _oracle_total(choice, constrained) <= budget
+
+    if fits(0.0):
+        return _oracle_select(feasible, objective, constrained, 0.0), 0.0
+    hi = 1.0
+    while not fits(hi):
+        hi *= 2.0
+    lo = 0.0
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        if fits(mid):
+            hi = mid
+        else:
+            lo = mid
+    return _oracle_select(feasible, objective, constrained, hi), hi
+
+
+def _oracle(frontiers, energy_budget_w=None, cost_budget_eur=None):
+    cost, energy = frontiers.cost_eur, frontiers.energy_w
+    if energy_budget_w is not None:
+        choice, lam = _oracle_solve(frontiers, cost, energy, energy_budget_w)
+    elif cost_budget_eur is not None:
+        choice, lam = _oracle_solve(frontiers, energy, cost, cost_budget_eur)
+    else:
+        choice = _oracle_select(frontiers.feasible, cost, energy, 0.0)
+        lam = 0.0
+    return choice, lam, _oracle_total(choice, energy), \
+        _oracle_total(choice, cost)
+
+
+def _assert_matches_oracle(frontiers, **budgets):
+    plan = optimize_network(frontiers=frontiers, **budgets)
+    choice, lam, energy, cost = _oracle(frontiers, **budgets)
+    assert np.array_equal(plan.option_index, choice)
+    assert plan.option_index.dtype == choice.dtype
+    # Bit identity, not closeness: compare the float64 bytes.
+    assert np.float64(plan.lambda_star).tobytes() \
+        == np.float64(lam).tobytes()
+    assert np.float64(plan.total_energy_w).tobytes() \
+        == np.float64(energy).tobytes()
+    assert np.float64(plan.total_cost_eur).tobytes() \
+        == np.float64(cost).tobytes()
+    return plan
+
+
+class TestUniqueRowOracle:
+    def test_demo_energy_budgets(self):
+        frontiers = _frontiers()
+        lo = frontiers.min_energy_w()
+        hi = optimize_network(frontiers=frontiers).total_energy_w
+        priced = 0
+        for budget in np.linspace(lo, 1.5 * hi, 8):
+            plan = _assert_matches_oracle(frontiers,
+                                          energy_budget_w=float(budget))
+            priced += plan.lambda_star > 0
+        assert priced >= 2  # the bisection itself was exercised
+
+    def test_budget_exactly_at_minimum(self):
+        frontiers = _frontiers()
+        _assert_matches_oracle(frontiers,
+                               energy_budget_w=frontiers.min_energy_w())
+
+    def test_cost_budget_mode(self):
+        frontiers = _frontiers()
+        cheapest = optimize_network(frontiers=frontiers).total_cost_eur
+        for factor in (1.0, 1.05, 1.2, 1.5):
+            _assert_matches_oracle(frontiers,
+                                   cost_budget_eur=factor * cheapest)
+
+    def test_both_budgets_mode(self):
+        frontiers = _frontiers()
+        cheapest = optimize_network(frontiers=frontiers)
+        for factor in (0.9, 1.1):
+            _assert_matches_oracle(
+                frontiers,
+                energy_budget_w=factor * cheapest.total_energy_w,
+                cost_budget_eur=2.0 * cheapest.total_cost_eur)
+
+    @pytest.mark.parametrize("technologies", [
+        "conventional,repeater,mobile_relay", "conventional,repeater"])
+    @pytest.mark.parametrize("scale", [0.5, 0.575, 0.65])
+    def test_national_graph(self, scale, technologies):
+        catalog = TechnologyCatalog.from_names(technologies)
+        frontiers = _frontiers(scale=scale, segments=2000, graph="national",
+                               catalog=catalog)
+        assert frontiers.unique_rows.index.size < frontiers.n_segments // 10
+        length_km = frontiers.graph.length_km
+        for w_per_km in (100.0, 125.0, 175.0):
+            _assert_matches_oracle(frontiers,
+                                   energy_budget_w=w_per_km * length_km)
+
+    def test_all_distinct_rows(self):
+        segments = tuple(
+            NetworkSegment(name=f"s{i}", length_km=1.0 + 0.37 * i,
+                           speed_class=("station", "regional",
+                                        "highspeed")[i % 3],
+                           demand=DemandProfile(trains_per_hour=2.0 + i))
+            for i in range(12))
+        graph = NetworkGraph(corridors=(Corridor(name="c",
+                                                 segments=segments),))
+        frontiers = segment_frontiers(graph, resolution_m=RESOLUTION_M)
+        rows = frontiers.unique_rows
+        assert np.array_equal(np.sort(rows.index), np.arange(12))
+        lo = frontiers.min_energy_w()
+        hi = optimize_network(frontiers=frontiers).total_energy_w
+        for budget in np.linspace(lo, hi, 5):
+            _assert_matches_oracle(frontiers, energy_budget_w=float(budget))
+
+
+class TestUniqueRows:
+    def test_expansion_reproduces_masked_arrays(self):
+        frontiers = _frontiers(scale=3.0)  # has infeasible cells
+        assert not frontiers.feasible.all()
+        rows = frontiers.unique_rows
+        assert rows.index.size < frontiers.n_segments
+        feasible = frontiers.feasible
+        for values in (frontiers.cost_eur, frontiers.energy_w):
+            masked = np.where(feasible, values, np.inf)
+            assert np.array_equal(masked[rows.index][rows.inverse], masked)
+        assert np.array_equal(feasible[rows.index][rows.inverse], feasible)
+
+    def test_rows_differing_in_one_array_stay_distinct(self):
+        from dataclasses import replace
+
+        base = _frontiers(segments=1)
+        cost = np.repeat(base.cost_eur, 5, axis=0)
+        energy = np.repeat(base.energy_w, 5, axis=0)
+        feasible = np.ones_like(cost, dtype=bool)
+        energy[1, 0] += 1.0  # row 1 vs row 0: same cost, other energy
+        cost[2, 0] += 1.0    # row 2 vs row 0: same energy, other cost
+        # rows 3 and 4: same values, only the feasibility mask differs
+        cost[3:, 0] = energy[3:, 0] = np.inf
+        feasible[4, 0] = False
+        frontiers = replace(base, cost_eur=cost, energy_w=energy,
+                            feasible=feasible)
+        assert frontiers.unique_rows.index.size == 5
+
+    def test_batched_and_scalar_frontiers_compress_alike(self):
+        batched = _frontiers()
+        scalar = _frontiers(engine="scalar")
+        assert batched.unique_rows.index.size < batched.n_segments
+        assert np.array_equal(batched.unique_rows.index,
+                              scalar.unique_rows.index)
+        assert np.array_equal(batched.unique_rows.inverse,
+                              scalar.unique_rows.inverse)
+
+    def test_compression_is_cached_per_frontier(self, monkeypatch):
+        from repro.network.frontier import UniqueRows
+
+        frontiers = _frontiers()
+        calls = []
+        compress = UniqueRows.of.__func__
+        monkeypatch.setattr(UniqueRows, "of", classmethod(
+            lambda cls, f: calls.append(f) or compress(cls, f)))
+        optimize_network(frontiers=frontiers,
+                         energy_budget_w=frontiers.min_energy_w())
+        rows = frontiers.unique_rows
+        optimize_network(frontiers=frontiers)
+        assert frontiers.unique_rows is rows
+        assert len(calls) == 1 and calls[0] is frontiers

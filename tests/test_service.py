@@ -85,6 +85,12 @@ class TestJobRequest:
         with pytest.raises(ConfigurationError, match="unknown request keys"):
             JobRequest.from_mapping({"study": MC_DOC, "priority": 9})
 
+    def test_rejects_unknown_keys_of_mixed_types(self):
+        with pytest.raises(ConfigurationError,
+                           match=r"unknown request keys \[1, 'priority'\]"):
+            JobRequest.from_mapping({"study": MC_DOC, 1: "x",
+                                     "priority": 9})
+
     def test_rejects_missing_study(self):
         with pytest.raises(ConfigurationError, match="'study' document"):
             JobRequest.from_mapping({"jobs": 2})

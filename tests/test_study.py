@@ -30,6 +30,7 @@ from repro.study import (
     parse_study,
     run_study,
     shard_ranges,
+    study_from_mapping,
 )
 
 STUDIES_DIR = Path(__file__).resolve().parents[1] / "studies"
@@ -125,6 +126,14 @@ resolution_m = 50.0
         document.update(mutation)
         with pytest.raises(ConfigurationError, match=match):
             parse_study(yaml.safe_dump(document))
+
+    def test_unknown_keys_of_mixed_types_are_reported(self):
+        import yaml
+
+        document = yaml.safe_load(MC_TEXT + "1: x\nenigne: mc\n")
+        with pytest.raises(ConfigurationError,
+                           match=r"unknown study keys \[1, 'enigne'\]"):
+            study_from_mapping(document)
 
     def test_missing_required_param(self):
         with pytest.raises(ConfigurationError, match="requires"):
@@ -608,6 +617,14 @@ class TestStudyCli:
         path.write_text("name: x\nengine: nope\naxes:\n  isd_m: [1.0]\n")
         assert main(["study", "run", str(path)]) == 2
         assert "cannot load" in capsys.readouterr().err
+
+    def test_mixed_type_unknown_keys_exit_cleanly(self, tmp_path, capsys):
+        path = tmp_path / "typo.yaml"
+        path.write_text(MC_TEXT + "1: x\nenigne: mc\n")
+        assert main(["study", "run", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "unknown study keys [1, 'enigne']" in err
+        assert "Traceback" not in err
 
 
 # -- store guards (ISSUE-10 satellites) ---------------------------------------
