@@ -1,6 +1,7 @@
 """Ablation — repeater-noise model comparison on the max-ISD sweep.
 
-Quantifies DESIGN.md #4.1: the literal Eq. (2) noise term overshoots the
+Quantifies docs/reproducing.md, "The 29 dB ISD criterion and repeater
+noise": the literal Eq. (2) noise term overshoots the
 paper's registered list at high repeater counts, while the calibrated
 amplify-and-forward fronthaul model reproduces the diminishing-returns tail.
 """

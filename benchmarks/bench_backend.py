@@ -1,11 +1,11 @@
-"""Reference vs. fused-numpy kernel backends — the PR-acceptance speedup gates.
+"""Reference vs. fused-numpy kernels — the speedup gates.
 
-Both engines already run batched; this benchmark isolates the *kernel
-backend* axis inside them.  The ``"reference"`` backend advances the
-original step loops (one Python iteration per position / hour), the
-``"numpy"`` backend runs the fused formulations (blocked prefix-product
-AR(1) scan with shared-scan candidate grouping, flattened branch-specialized
-SoC walk with hoisted accounting).
+Both engines already run batched; this benchmark isolates the *kernel*
+inside them.  The reference kernels (swapped in through the shared
+``reference_kernels`` fixture) advance the original step loops (one Python
+iteration per position / hour); the production kernels run the fused
+formulations (blocked prefix-product AR(1) scan with shared-scan candidate
+grouping, flattened branch-specialized SoC walk with hoisted accounting).
 
 Gates:
 
@@ -16,14 +16,19 @@ Gates:
   hour-order PV sums bit-identical, SoC-dependent floats <= 1e-9 (the
   fused walk runs the recurrence in SoC units).
 
-Each backend is timed as the best of five runs (single-shot timings on a
-busy host swing by tens of percent); thresholds are advisory under CI
-(noisy shared runners), and the parity assertions always hold.  Emits ``BENCH_backend.json`` when
-``BENCH_JSON_DIR`` is set.
+Both sides are warmed up, then timed in ``PAIRS`` back-to-back
+reference/fused pairs whose order alternates, and the gate reads the
+median of the per-pair ratios.  Load that drifts during the run hits both
+halves of a pair alike, and neither side profits from always running
+first.  Thresholds are advisory under CI (noisy shared runners); the
+parity assertions always hold.  Emits ``BENCH_backend.json`` and
+``BENCH_backend_solar.json`` when ``BENCH_JSON_DIR`` is set.
 """
 
+import contextlib
 import dataclasses
 import os
+import statistics
 import time
 
 import numpy as np
@@ -50,18 +55,32 @@ SOLAR_THRESHOLD = 2.0
 
 RESULT_FIELDS = tuple(f.name for f in dataclasses.fields(OffGridResult))
 
-REPEATS = 5
+#: Interleaved reference/fused pairs behind each gate.
+PAIRS = 11
 
 
-def _best_of(fn, repeats=REPEATS):
-    """Best wall time over a few runs — damps scheduler / cache noise."""
-    best_s = float("inf")
-    result = None
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        result = fn()
-        best_s = min(best_s, time.perf_counter() - t0)
-    return best_s, result
+def _interleaved(run, reference_kernels):
+    """Time ``run`` on the reference and fused kernels in alternating pairs.
+
+    Both sides must already be warm.  Returns the median reference and
+    fused wall times, the median per-pair ratio and each side's last
+    result.
+    """
+    def timed(reference):
+        with reference_kernels() if reference else contextlib.nullcontext():
+            t0 = time.perf_counter()
+            result = run()
+            return time.perf_counter() - t0, result
+
+    times = {True: [], False: []}
+    results = {}
+    for pair in range(PAIRS):
+        for reference in ((True, False) if pair % 2 == 0 else (False, True)):
+            wall_s, results[reference] = timed(reference)
+            times[reference].append(wall_s)
+    ratios = [r / f for r, f in zip(times[True], times[False])]
+    return (statistics.median(times[True]), statistics.median(times[False]),
+            statistics.median(ratios), results[True], results[False])
 
 
 def _mc_profiles():
@@ -86,25 +105,22 @@ def _solar_systems():
     ]
 
 
-def bench_backend_mc_min_scan(benchmark, bench_json):
+def bench_backend_mc_min_scan(benchmark, bench_json, reference_kernels):
     profiles = _mc_profiles()
     assert max(r.positions_m.size for r in profiles) >= 2000
     shadowing = LogNormalShadowing(sigma_db=SIGMA_DB)
 
-    # Warm both paths once: the shared standard-normal matrix is drawn and
-    # cached on first use, and must not count against either backend.
-    outage_matrix(profiles, shadowing, trials=TRIALS, backend="reference")
-    benchmark.pedantic(
-        lambda: outage_matrix(profiles, shadowing, trials=TRIALS,
-                              backend="numpy"),
-        rounds=1, iterations=1)
+    def run():
+        return outage_matrix(profiles, shadowing, trials=TRIALS)
 
-    reference_s, reference = _best_of(
-        lambda: outage_matrix(profiles, shadowing, trials=TRIALS,
-                              backend="reference"))
-    fused_s, fused = _best_of(
-        lambda: outage_matrix(profiles, shadowing, trials=TRIALS,
-                              backend="numpy"))
+    # Warm both sides once: the shared standard-normal matrix is drawn and
+    # cached on first use, and must not count against either kernel.
+    benchmark.pedantic(run, rounds=1, iterations=1)
+    with reference_kernels():
+        run()
+
+    reference_s, fused_s, speedup, reference, fused = _interleaved(
+        run, reference_kernels)
 
     # Parity inside the gate run: <= 1e-9 on every min-SNR sample and
     # identical outage decisions.
@@ -112,13 +128,13 @@ def bench_backend_mc_min_scan(benchmark, bench_json):
                                rtol=0.0, atol=1e-9)
     assert np.array_equal(fused.outage_counts, reference.outage_counts)
 
-    speedup = reference_s / fused_s
     bench_json("backend", {
         "mc": {
             "grid": {"candidates": N_CANDIDATES, "trials": TRIALS,
                      "resolution_m": RESOLUTION_M,
                      "max_positions": int(max(r.positions_m.size
                                               for r in profiles))},
+            "pairs": PAIRS,
             "reference_s": reference_s,
             "fused_s": fused_s,
             "speedup": speedup,
@@ -126,32 +142,30 @@ def bench_backend_mc_min_scan(benchmark, bench_json):
         },
     })
     if os.environ.get("CI"):
-        print(f"fused mc backend speedup: {speedup:.1f}x (threshold not "
+        print(f"fused mc kernel speedup: {speedup:.1f}x (threshold not "
               "enforced under CI)")
     else:
         assert speedup >= MC_THRESHOLD, \
             f"fused mc kernel only {speedup:.1f}x faster"
 
 
-def bench_backend_solar_year(benchmark, bench_json):
+def bench_backend_solar_year(benchmark, bench_json, reference_kernels):
     systems = _solar_systems()
     assert len(systems) == 200
     cache = WeatherCache()
 
-    # Warm the weather cache: synthesis is backend-independent (the cache is
-    # content-keyed) and must not count against either backend.
-    simulate_systems(systems, weather_cache=cache, backend="reference")
-    benchmark.pedantic(
-        lambda: simulate_systems(systems, weather_cache=cache,
-                                 backend="numpy"),
-        rounds=1, iterations=1)
+    def run():
+        return simulate_systems(systems, weather_cache=cache)
 
-    reference_s, reference = _best_of(
-        lambda: simulate_systems(systems, weather_cache=cache,
-                                 backend="reference"))
-    fused_s, fused = _best_of(
-        lambda: simulate_systems(systems, weather_cache=cache,
-                                 backend="numpy"))
+    # Warm the content-keyed weather cache on the production kernels first
+    # (synthesis must not count against either side, and both sides must
+    # walk the same weather), then the reference side.
+    benchmark.pedantic(run, rounds=1, iterations=1)
+    with reference_kernels():
+        run()
+
+    reference_s, fused_s, speedup, reference, fused = _interleaved(
+        run, reference_kernels)
 
     # Parity inside the gate run: integer counts, metadata, and the
     # hour-order PV sums are exact; the SoC-dependent floats come from the
@@ -167,10 +181,10 @@ def bench_backend_solar_year(benchmark, bench_json):
             else:
                 assert got == want, name
 
-    speedup = reference_s / fused_s
     bench_json("backend_solar", {
         "solar": {
             "grid": {"locations": 4, "candidates": len(systems)},
+            "pairs": PAIRS,
             "reference_s": reference_s,
             "fused_s": fused_s,
             "speedup": speedup,
@@ -178,7 +192,7 @@ def bench_backend_solar_year(benchmark, bench_json):
         },
     })
     if os.environ.get("CI"):
-        print(f"fused solar backend speedup: {speedup:.1f}x (threshold not "
+        print(f"fused solar kernel speedup: {speedup:.1f}x (threshold not "
               "enforced under CI)")
     else:
         assert speedup >= SOLAR_THRESHOLD, \

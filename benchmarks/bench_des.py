@@ -1,7 +1,7 @@
 """Event-driven cross-check — DES vs. the analytic duty-cycle energy model.
 
-Not a figure of the paper, but the validation experiment DESIGN.md commits
-to: the 24 h discrete-event simulation of the N = 10 corridor segment must
+Not a figure of the paper, but a validation experiment: the 24 h
+discrete-event simulation of the N = 10 corridor segment must
 land within 2 % of the analytic Fig. 4 value in every operating mode.
 """
 

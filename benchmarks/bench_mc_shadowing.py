@@ -41,7 +41,7 @@ def _profiles():
         [Scenario(layout=lo, resolution_m=RESOLUTION_M) for lo in layouts])
 
 
-def bench_mc_shadowing_speedup(benchmark, bench_json):
+def bench_mc_shadowing_speedup(benchmark, bench_json, reference_kernels):
     profiles = _profiles()
     assert len(profiles) == N_CANDIDATES
     shadowing = LogNormalShadowing(sigma_db=SIGMA_DB)
@@ -58,10 +58,10 @@ def bench_mc_shadowing_speedup(benchmark, bench_json):
 
     # Bit-identical min-SNR samples and outage counts (the PR acceptance
     # criterion): same per-trial streams, same draw order, same arithmetic.
-    # The default (fused) backend is pinned <= 1e-9 instead — the reference
-    # backend is the bit-exact anchor (see benchmarks/bench_backend.py).
-    reference = outage_matrix(profiles, shadowing, trials=TRIALS,
-                              backend="reference")
+    # The fused kernel is pinned <= 1e-9 instead — the reference kernel is
+    # the bit-exact anchor (see benchmarks/bench_backend.py).
+    with reference_kernels():
+        reference = outage_matrix(profiles, shadowing, trials=TRIALS)
     assert np.array_equal(reference.min_snr_db, scalar.min_snr_db)
     assert np.array_equal(reference.outage_counts, scalar.outage_counts)
     np.testing.assert_allclose(batched.min_snr_db, scalar.min_snr_db,

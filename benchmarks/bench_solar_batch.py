@@ -8,10 +8,10 @@ and its own weather synthesis.  The batched path
 per location and advances every candidate's battery recurrence together.
 
 Asserts (a) bit-identical ``OffGridResult`` outputs on a 4-location ×
-25-candidate grid — under the ``"reference"`` kernel backend, the bit-exact
-anchor; the default fused backend's 1e-9 tolerance contract is gated in
-``benchmarks/bench_backend.py`` — and (b) a >= 5x wall-time speedup for
-the batched engine.
+25-candidate grid — on the reference kernels (the shared
+``reference_kernels`` swap), the bit-exact anchor; the fused kernels' 1e-9
+tolerance contract is gated in ``benchmarks/bench_backend.py`` — and (b) a
+>= 5x wall-time speedup for the batched engine.
 """
 
 import dataclasses
@@ -42,7 +42,7 @@ def _grid_systems():
     ]
 
 
-def bench_solar_batch_speedup(benchmark, bench_json):
+def bench_solar_batch_speedup(benchmark, bench_json, reference_kernels):
     systems = _grid_systems()
     assert len(systems) == 100
 
@@ -50,18 +50,19 @@ def bench_solar_batch_speedup(benchmark, bench_json):
     scalar = [system.simulate_year() for system in systems]
     scalar_s = time.perf_counter() - t0
 
+    cache = WeatherCache()
     t0 = time.perf_counter()
     batched = benchmark.pedantic(
-        lambda: simulate_systems(systems, weather_cache=WeatherCache()),
+        lambda: simulate_systems(systems, weather_cache=cache),
         rounds=1, iterations=1)
     batched_s = time.perf_counter() - t0
 
     # Bit-identical outputs on every field (the PR acceptance criterion):
-    # the reference backend replays the scalar walk exactly.  The timed
-    # (default, fused) run is pinned exact on integers/PV sums and <= 1e-9
-    # on the SoC-dependent floats — the backend parity contract.
-    reference = simulate_systems(systems, weather_cache=WeatherCache(),
-                                 backend="reference")
+    # the reference kernel replays the scalar walk exactly (on the weather
+    # the timed run cached).  The timed fused run is pinned exact on
+    # integers/PV sums and <= 1e-9 on the SoC-dependent floats.
+    with reference_kernels():
+        reference = simulate_systems(systems, weather_cache=cache)
     soc_dependent = {"unmet_wh", "min_soc", "annual_load_kwh"}
     for batch_result, fused_result, scalar_result in zip(
             reference, batched, scalar):

@@ -65,11 +65,11 @@ class StudyExecutionError(ReproError, RuntimeError):
 
 
 class ManifestError(ReproError, ValueError):
-    """A shard manifest is malformed, unreadable or fails its signature.
+    """A shard manifest is malformed, unreadable or fails its digest.
 
     Raised by :mod:`repro.study.manifest` when a sidecar document cannot be
     parsed, misses required fields, declares an unsupported schema version,
-    or its body no longer matches the embedded SHA-256 signature (a
+    or its body no longer matches the embedded unkeyed SHA-256 digest (a
     hand-edited or torn manifest).
     """
 
@@ -78,8 +78,8 @@ class MergeValidationError(ReproError, RuntimeError):
     """A distributed merge rejected its shard set before producing a table.
 
     Structured: :attr:`kind` names the violated invariant (``"spec_hash"``,
-    ``"layout"``, ``"overlap"``, ``"missing"``, ``"checksum"``,
-    ``"backend"`` or ``"crn"``) and :attr:`details` carries the evidence
+    ``"layout"``, ``"overlap"``, ``"missing"``, ``"checksum"`` or
+    ``"crn"``) and :attr:`details` carries the evidence
     (the offending ranges, hashes or case indices), so callers — the CLI's
     exit-code mapping, the dist-smoke CI leg — can react without parsing
     the message.

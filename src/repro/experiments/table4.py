@@ -169,8 +169,7 @@ def table4_grid_study_spec(pv_peaks=None, battery_whs=None, seed: int = 2022):
 
 def run_table4_grid(pv_peaks=None, battery_whs=None,
                     load: LoadProfile | None = None, seed: int = 2022,
-                    weather_cache=None,
-                    backend: str | None = None) -> Table4GridResult:
+                    weather_cache=None) -> Table4GridResult:
     """Sweep a full (PV peak × battery Wh) grid at all four locations.
 
     The whole grid — every candidate at every location — is evaluated as one
@@ -186,8 +185,6 @@ def run_table4_grid(pv_peaks=None, battery_whs=None,
         load: Optional load profile override (default: the repeater load).
         seed: Weather-year seed shared by every candidate.
         weather_cache: Optional :class:`~repro.solar.batch.WeatherCache`.
-        backend: Kernel backend forwarded to
-            :func:`~repro.solar.batch.simulate_candidates`.
 
     Returns:
         The :class:`Table4GridResult` over the full candidate grid.
@@ -198,8 +195,7 @@ def run_table4_grid(pv_peaks=None, battery_whs=None,
     results: dict[str, dict[tuple[float, float], OffGridResult]] = {}
     for key in LOCATION_ORDER:
         evaluated = simulate_candidates(LOCATIONS[key], candidates, load=load,
-                                        seed=seed, weather_cache=weather_cache,
-                                        backend=backend)
+                                        seed=seed, weather_cache=weather_cache)
         results[key] = dict(zip(candidates, evaluated))
     return Table4GridResult(pv_peaks_w=pv_peaks, battery_whs=battery_whs,
                             results=results)

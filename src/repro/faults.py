@@ -31,7 +31,7 @@ Supported actions (:data:`FAULT_ACTIONS`):
     Overwrite the file at the plan's ``manifest_path`` with a torn manifest
     document and let the attempt *continue normally* — a write-path fault,
     not a compute failure.  The damage surfaces later, when ``repro study
-    merge`` signature-verifies the manifest
+    merge`` digest-checks the manifest
     (:exc:`~repro.errors.ManifestError` → exit 4), exercising the
     distributed layer's tamper/torn-write rejection end to end.
 
@@ -125,7 +125,7 @@ class FaultPlan:
     manifest_path:
         File the ``corrupt_manifest`` action tears — typically another
         worker's (or a previous run's) shard manifest, so the merge's
-        signature check is exercised against realistic torn-write damage.
+        digest check is exercised against realistic torn-write damage.
     """
 
     faults: tuple[FaultSpec, ...] = ()
@@ -183,14 +183,14 @@ class FaultPlan:
         if spec.action == "crash":
             os._exit(spec.exit_code)
         if spec.action == "corrupt_manifest":
-            # Tear the targeted manifest the way a killed signer would —
-            # valid JSON envelope, signature no longer matching — and let
+            # Tear the targeted manifest the way a killed writer would —
+            # valid JSON envelope, digest no longer matching — and let
             # the attempt continue: the damage is a write-path artifact
-            # that only surfaces when a merge verifies the signature.
+            # that only surfaces when a merge checks the digest.
             path = Path(self.manifest_path)
             path.parent.mkdir(parents=True, exist_ok=True)
             path.write_text('{"manifest": {"study": "torn-by-fault-'
-                            'injection"}, "signature": "0000"}\n')
+                            'injection"}, "digest": "0000"}\n')
             return
         # corrupt: tear the shard's store file the way a killed writer would
         # (truncated garbage), then fail the attempt; the retry recomputes

@@ -1,4 +1,4 @@
-"""Named sequential-scan kernels, registered per array backend.
+"""Named sequential-scan kernels of the batch engines.
 
 Each kernel is one of the recurrences the batch engines cannot vectorize
 away — the only remaining sequential loops in the codebase:
@@ -12,146 +12,24 @@ away — the only remaining sequential loops in the codebase:
 * :func:`occupancy_scan` — the occupancy-group wake-cycle walk (the sim
   engine's group scan).
 
-Importing this module registers the three backends with
-:mod:`repro.backend`: ``"numpy"`` (fused formulations, the default),
-``"reference"`` (the original step loops, bit-identity anchor) and
-``"numba"`` (optional JIT; registered unavailable when numba is missing).
-Every dispatcher takes a ``backend=`` keyword resolved per call via
-:func:`repro.backend.get_backend` (explicit argument, then the
-``REPRO_BACKEND`` environment variable, then ``"numpy"``).
+The names re-export the fused formulations of
+:mod:`repro.kernels.numpy_fused`, the only production path.  The engines
+import them by name; :mod:`repro.kernels.reference` keeps the original step
+loops as test oracles, which the parity tests swap in for those imported
+names to pin the engines against their scalar escape hatches bit for bit.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.backend import Backend, get_backend, register_backend
-from repro.kernels import numba_jit as _numba
-from repro.kernels import numpy_fused as _numpy
-from repro.kernels import reference as _reference
+from repro.kernels.numpy_fused import (
+    ar1_min_scan,
+    ar1_scan,
+    occupancy_scan,
+    soc_scan,
+)
 
 __all__ = ["KERNEL_NAMES", "ar1_scan", "ar1_min_scan", "soc_scan",
            "occupancy_scan"]
 
-#: The kernel names every available backend must provide.
+#: The kernel names; :mod:`repro.kernels.reference` provides each one too.
 KERNEL_NAMES = ("ar1_scan", "ar1_min_scan", "soc_scan", "occupancy_scan")
-
-register_backend(Backend(
-    name="numpy",
-    description="fused pure-numpy kernels (blocked prefix scans, hoisted "
-                "accounting) — the default",
-    kernels=_numpy.KERNELS,
-))
-register_backend(Backend(
-    name="reference",
-    description="original step-loop kernels — the bit-identity anchor and "
-                "benchmark baseline",
-    kernels=_reference.KERNELS,
-))
-register_backend(Backend(
-    name="numba",
-    description="JIT-compiled step loops (optional dependency)",
-    kernels=_numba.KERNELS,
-    available=_numba.AVAILABLE,
-    unavailable_reason="numba is not installed (optional dependency; "
-                       "`pip install numba` enables this backend)",
-))
-
-
-def ar1_scan(z: np.ndarray, rho: np.ndarray, innovation: np.ndarray,
-             first_scale: float, backend: str | None = None) -> np.ndarray:
-    """AR(1) recurrence ``out[i] = rho[i-1]*out[i-1] + innovation[i-1]*z[i]``
-    over the last axis, with ``out[0] = first_scale * z[0]``.
-
-    Args:
-        z: Driving standard normals, shape ``(..., p)``.
-        rho: Per-step AR coefficients, length ``>= p - 1``.
-        innovation: Per-step innovation scales, length ``>= p - 1``.
-        first_scale: Scale applied to the first sample.
-        backend: Backend name; ``None`` resolves via ``REPRO_BACKEND`` and
-            then the ``"numpy"`` default.
-
-    Returns:
-        The scanned series, same shape as ``z``.
-    """
-    return get_backend(backend).kernels["ar1_scan"](
-        z, rho, innovation, first_scale)
-
-
-def ar1_min_scan(snr: np.ndarray, rho: np.ndarray, innovation: np.ndarray,
-                 z: np.ndarray, first_scale: float, sizes: np.ndarray,
-                 backend: str | None = None) -> np.ndarray:
-    """AR(1) shadow recurrence fused with a running minimum of
-    ``snr + shadow`` — the ``[cand, trial, pos]`` tensor is never
-    materialized.
-
-    Args:
-        snr: Deterministic SNR, shape ``(n_cand, p_max)``, +inf padded
-            past each candidate's grid end.
-        rho: AR coefficients, shape ``(n_cand, max(p_max - 1, 1))``,
-            zero-padded.
-        innovation: Innovation scales, same shape/padding as ``rho``.
-        z: Shared standard normals, shape ``(trials, p_max)``.
-        first_scale: Stationary sigma scaling the first position.
-        sizes: True per-candidate position counts, shape ``(n_cand,)``.
-        backend: Backend name; ``None`` resolves via ``REPRO_BACKEND``.
-
-    Returns:
-        Minimum shadowed SNR per (candidate, trial), shape
-        ``(n_cand, trials)``.
-    """
-    return get_backend(backend).kernels["ar1_min_scan"](
-        snr, rho, innovation, z, first_scale, sizes)
-
-
-def soc_scan(produced_w: np.ndarray, demanded_w: np.ndarray,
-             months: np.ndarray, capacity_wh: np.ndarray,
-             efficiency: np.ndarray, cutoff: np.ndarray, initial_soc: float,
-             backend: str | None = None) -> dict:
-    """Battery state-of-charge clip-recurrence over an hourly horizon,
-    with the full energy accounting of the solar engine.
-
-    Args:
-        produced_w: PV power, shape ``(days, 24, n)``.
-        demanded_w: Load power, shape ``(24, n)``.
-        months: Month index (0..11) per day, shape ``(days,)``.
-        capacity_wh: Battery capacity per system, shape ``(n,)``.
-        efficiency: Charge efficiency per system, shape ``(n,)``.
-        cutoff: Discharge cutoff SoC per system, shape ``(n,)``.
-        initial_soc: State of charge before the first hour, in [0, 1].
-        backend: Backend name; ``None`` resolves via ``REPRO_BACKEND``.
-
-    Returns:
-        Dict of accounting arrays — ``min_soc``, ``full_days``,
-        ``unmet_hours``, ``unmet_wh``, ``annual_pv_wh``, ``annual_load_wh``
-        (``(n,)``), ``monthly_pv_wh``, ``monthly_unmet_hours`` (``(n, 12)``).
-    """
-    return get_backend(backend).kernels["soc_scan"](
-        produced_w, demanded_w, months, capacity_wh, efficiency, cutoff,
-        initial_soc)
-
-
-def occupancy_scan(g_a: np.ndarray, g_b: np.ndarray,
-                   first_wake_after: np.ndarray, n_groups: np.ndarray,
-                   transition_s: float, horizon_s: float,
-                   backend: str | None = None
-                   ) -> tuple[np.ndarray, np.ndarray]:
-    """Wake-cycle walk over per-lane occupancy groups (the sim engine's
-    sequential scan).
-
-    Args:
-        g_a: Group start instants, shape ``(lanes, n_runs)``, +inf padded.
-        g_b: Group end instants, same shape/padding.
-        first_wake_after: First barrier wake strictly after each query,
-            shape ``(lanes, n_runs + 1)``.
-        n_groups: Per-lane group counts, shape ``(lanes,)``.
-        transition_s: Sleep-to-awake transition seconds.
-        horizon_s: Simulation horizon seconds.
-
-        backend: Backend name; ``None`` resolves via ``REPRO_BACKEND``.
-
-    Returns:
-        ``(awake_time, waking_occ)`` per lane, both ``(lanes,)``.
-    """
-    return get_backend(backend).kernels["occupancy_scan"](
-        g_a, g_b, first_wake_after, n_groups, transition_s, horizon_s)

@@ -1,4 +1,4 @@
-"""Fused pure-numpy kernels (the default ``"numpy"`` backend).
+"""Fused pure-numpy kernels — the production path of every batch engine.
 
 Three genuinely different formulations, not relabels of the step loops:
 
@@ -30,9 +30,9 @@ Three genuinely different formulations, not relabels of the step loops:
   summation order bitwise (``_hour_order_sum``), the SoC-dependent outputs
   agree to a few ULPs — inside the 1e-9 parity budget.
 
-``occupancy_scan`` is re-exported from the reference backend unchanged:
-its lane axis is already fully batched and the group loop is a handful of
-iterations — the numba backend is where a JIT win exists for it.
+``occupancy_scan`` is re-exported from :mod:`repro.kernels.reference`
+unchanged: its lane axis is already fully batched and the group loop is a
+handful of iterations.
 """
 
 from __future__ import annotations
@@ -41,8 +41,7 @@ import numpy as np
 
 from repro.kernels.reference import occupancy_scan
 
-__all__ = ["ar1_scan", "ar1_min_scan", "soc_scan", "occupancy_scan",
-           "KERNELS"]
+__all__ = ["ar1_scan", "ar1_min_scan", "soc_scan", "occupancy_scan"]
 
 #: Chunk-length cap of the blocked scan.  The rescaling floor below is
 #: what actually bounds chunk length (underflow forces an early cut); the
@@ -150,7 +149,19 @@ def ar1_min_scan(snr: np.ndarray, rho: np.ndarray, innovation: np.ndarray,
     Surviving columns are merged into contiguous spans and reduced span by
     span through one reused cache-resident buffer.
 
-    Args / Returns: see :func:`repro.kernels.reference.ar1_min_scan`.
+    Args:
+        snr: Deterministic SNR, shape ``(n_cand, p_max)``, +inf padded
+            past each candidate's grid end.
+        rho: AR coefficients, shape ``(n_cand, max(p_max - 1, 1))``,
+            zero-padded.
+        innovation: Innovation scales, same shape/padding as ``rho``.
+        z: Shared standard normals, shape ``(trials, p_max)``.
+        first_scale: Stationary sigma scaling the first position.
+        sizes: True per-candidate position counts, shape ``(n_cand,)``.
+
+    Returns:
+        Minimum shadowed SNR per (candidate, trial), shape
+        ``(n_cand, trials)``.
     """
     n_cand = snr.shape[0]
     trials = z.shape[0]
@@ -291,10 +302,22 @@ def soc_scan(produced_w: np.ndarray, demanded_w: np.ndarray,
     untouched inputs, see :func:`_hour_order_sum`); the SoC-dependent
     outputs (min SoC, full days, unmet accounting) differ from the
     reference walk only by elementwise rounding — a few ULPs, far inside
-    the 1e-9 backend parity budget.  The ``"reference"`` backend is the
-    bitwise anchor.
+    the 1e-9 parity budget.  The reference step loop is the bitwise
+    anchor.
 
-    Args / Returns: see :func:`repro.kernels.reference.soc_scan`.
+    Args:
+        produced_w: PV power, shape ``(days, 24, n)``.
+        demanded_w: Load power, shape ``(24, n)``.
+        months: Month index (0..11) per day, shape ``(days,)``.
+        capacity_wh: Battery capacity per system, shape ``(n,)``.
+        efficiency: Charge efficiency per system, shape ``(n,)``.
+        cutoff: Discharge cutoff SoC per system, shape ``(n,)``.
+        initial_soc: State of charge before the first hour, in [0, 1].
+
+    Returns:
+        Dict of accounting arrays — ``min_soc``, ``full_days``,
+        ``unmet_hours``, ``unmet_wh``, ``annual_pv_wh``, ``annual_load_wh``
+        (``(n,)``), ``monthly_pv_wh``, ``monthly_unmet_hours`` (``(n, 12)``).
     """
     days = produced_w.shape[0]
     n = produced_w.shape[-1]
@@ -386,12 +409,3 @@ def soc_scan(produced_w: np.ndarray, demanded_w: np.ndarray,
             _monthly_sums(produced, months).T),
         "monthly_unmet_hours": np.ascontiguousarray(monthly_unmet.T),
     }
-
-
-#: Kernel table registered for the ``"numpy"`` backend.
-KERNELS = {
-    "ar1_scan": ar1_scan,
-    "ar1_min_scan": ar1_min_scan,
-    "soc_scan": soc_scan,
-    "occupancy_scan": occupancy_scan,
-}

@@ -24,15 +24,16 @@ below the SNR threshold.  This module batches that question across **every
   SNR is padded with ``+inf`` (never the minimum) and the AR(1) coefficients
   with zeros, so no validity mask is needed in the reduction.
 
-The scan itself is the :func:`repro.kernels.ar1_min_scan` kernel, selected
-per call via ``backend=`` / ``REPRO_BACKEND``.  ``engine="scalar"`` replays
-the same trials through :meth:`LogNormalShadowing.sample` one (candidate,
-trial) at a time and is trial-for-trial bit-identical to the batched engine
-under ``backend="reference"`` (same generator seeding, same draw order,
+The scan itself is the fused :func:`repro.kernels.ar1_min_scan` kernel.
+``engine="scalar"`` replays the same trials through
+:meth:`LogNormalShadowing.sample` one (candidate, trial) at a time; the
+batched engine matches it within 1e-9 while preserving the CRN
+candidate-independence bitwise, and with the step-loop oracle
+:func:`repro.kernels.reference.ar1_min_scan` swapped in it is
+trial-for-trial bit-identical (same generator seeding, same draw order,
 elementwise-identical arithmetic) — asserted in ``tests/test_mc_engine.py``.
-The fused default backend matches within 1e-9 while preserving the CRN
-candidate-independence bitwise; ``benchmarks/bench_backend.py`` gates its
-speedup over the reference kernel.
+``benchmarks/bench_backend.py`` gates the fused kernel's speedup over the
+step loop.
 """
 
 from __future__ import annotations
@@ -219,18 +220,15 @@ def _outage_matrix_scalar(profiles, shadowing: LogNormalShadowing,
 
 
 def _outage_matrix_batched(profiles, shadowing: LogNormalShadowing,
-                           trials: int, seed: int,
-                           backend: str | None = None) -> np.ndarray:
+                           trials: int, seed: int) -> np.ndarray:
     """Batched kernel: AR(1) over a [candidate, trial] state, running min.
 
     The recurrence mirrors :meth:`LogNormalShadowing.sample_batch` but cannot
     delegate to it: folding the candidate axis into the state (with padding)
     and reducing to a running minimum is what keeps one sequential loop for
     the whole batch and avoids materializing [candidate, trial, position].
-    The scan itself is the :func:`repro.kernels.ar1_min_scan` kernel —
-    ``backend="reference"`` is the historical step loop, pinned
-    bit-identical to the scalar ``sample`` walk in ``tests/test_mc_engine.py``;
-    the fused default matches it within 1e-9 and preserves the CRN
+    The scan itself is the :func:`repro.kernels.ar1_min_scan` kernel; it
+    matches the historical step loop within 1e-9 and preserves the CRN
     candidate-independence property bitwise (prefix-stable scans).
     """
     positions = [np.asarray(p.positions_m, dtype=float) for p in profiles]
@@ -268,8 +266,7 @@ def _outage_matrix_batched(profiles, shadowing: LogNormalShadowing,
     # (seed, trials) so repeated evaluations (grid cells, bisection probes)
     # don't redraw identical normals.
     z = _standard_normal_matrix(seed, trials, p_max)
-    mins = ar1_min_scan(snr, rho, innovation, z, sigma,
-                        np.asarray(sizes), backend=backend)
+    mins = ar1_min_scan(snr, rho, innovation, z, sigma, np.asarray(sizes))
     mins.flags.writeable = False
     return mins
 
@@ -279,8 +276,7 @@ def outage_matrix(profiles,
                   threshold_db: float = constants.PEAK_SNR_CRITERION_DB,
                   trials: int = 200,
                   seed: int = 2022,
-                  engine: str = "batched",
-                  backend: str | None = None) -> OutageMatrix:
+                  engine: str = "batched") -> OutageMatrix:
     """Monte-Carlo shadowing outage of many profiles, common random numbers.
 
     Parameters
@@ -293,14 +289,8 @@ def outage_matrix(profiles,
         The :class:`LogNormalShadowing` overlay (default parameters if None).
     engine:
         ``"batched"`` (default) or ``"scalar"``; the scalar path is the
-        audit/reference implementation.  The batched engine under
-        ``backend="reference"`` is bit-identical to it; the fused default
-        backend matches within 1e-9.
-    backend:
-        Kernel backend for the batched engine (``"numpy"``, ``"reference"``
-        or ``"numba"``); ``None`` resolves via the ``REPRO_BACKEND``
-        environment variable and then the ``"numpy"`` default.  Ignored by
-        ``engine="scalar"``.
+        audit/reference implementation; the batched engine matches it
+        within 1e-9.
 
     Each profile sees the same per-trial shadowing streams (CRN), so
     cross-profile comparisons — outage-vs-ISD curves, bisection over the
@@ -327,8 +317,7 @@ def outage_matrix(profiles,
     if engine == "scalar":
         mins = _outage_matrix_scalar(profiles, shadowing, trials, seed)
     elif engine == "batched":
-        mins = _outage_matrix_batched(profiles, shadowing, trials, seed,
-                                      backend=backend)
+        mins = _outage_matrix_batched(profiles, shadowing, trials, seed)
     else:
         raise ConfigurationError(
             f"unknown engine {engine!r}; expected 'batched' or 'scalar'")

@@ -20,7 +20,8 @@ received from the n-th repeater.  Two repeater-noise models are provided:
     radiates is ``P_LP,RSTP / SNR_fronthaul`` per subcarrier, attenuated by the
     same service path loss as the signal.  The fronthaul SNR comes from
     :class:`repro.propagation.fronthaul.FronthaulBudget`.  This reproduces the
-    diminishing ISD returns of the paper's registered list (DESIGN.md #4.1).
+    diminishing ISD returns of the paper's registered list (see
+    ``docs/reproducing.md``, "The 29 dB ISD criterion and repeater noise").
 """
 
 from __future__ import annotations

@@ -196,7 +196,7 @@ def _run_tensors(timetables: tuple[Timetable, ...]):
 def _simulate_batch(specs: tuple[ElementSpec, ...],
                     timetables: tuple[Timetable, ...],
                     seg_m: float, horizon_s: float, transition_s: float,
-                    wake_lead_m: float, backend: str | None = None):
+                    wake_lead_m: float):
     n_real, n_elem = len(timetables), len(specs)
     t0, speed, length, direction, valid = _run_tensors(timetables)
     n_runs = t0.shape[1]
@@ -277,8 +277,7 @@ def _simulate_batch(specs: tuple[ElementSpec, ...],
     # strictly after the finish (the unit stays awake through group ends that
     # land inside the transition — the event engine's "missed sleep" case).
     awake_time, waking_occ = occupancy_scan(
-        g_a, g_b, first_wake_after, n_groups, transition_s, horizon_s,
-        backend=backend)
+        g_a, g_b, first_wake_after, n_groups, transition_s, horizon_s)
 
     capable = np.array([s.sleep_capable for s in specs])
     capable_l = np.broadcast_to(capable[None, :], (n_real, n_elem)).reshape(lanes)
@@ -375,8 +374,7 @@ def simulate_days(layout: CorridorLayout,
                   days: float = 1.0,
                   transition_s: float = constants.SLEEP_TRANSITION_S,
                   wake_lead_m: float = 50.0,
-                  engine: str = "batch",
-                  backend: str | None = None) -> DayBatchResult:
+                  engine: str = "batch") -> DayBatchResult:
     """Simulate a fleet of corridor days and integrate per-element energy.
 
     Either pass explicit ``timetables`` (one per realization, sharing one
@@ -406,9 +404,6 @@ def simulate_days(layout: CorridorLayout,
         transition_s: Sleep/wake transition time [s].
         wake_lead_m: Wake-up lead distance ahead of an approaching train [m].
         engine: ``"batch"`` (default) or the ``"event"`` escape hatch.
-        backend: Kernel backend for the batch engine's group scan
-            (``None`` resolves via ``REPRO_BACKEND``); ignored by
-            ``engine="event"``.
 
     Returns:
         The :class:`DayBatchResult` with read-only ``[realization, element]``
@@ -435,7 +430,7 @@ def simulate_days(layout: CorridorLayout,
     if engine == "batch":
         active_s, awake_s, energy_wh, events = _simulate_batch(
             specs, resolved, layout.isd_m, horizon,
-            float(transition_s), float(wake_lead_m), backend=backend)
+            float(transition_s), float(wake_lead_m))
     else:
         active_s, awake_s, energy_wh, events = _simulate_event(
             specs, resolved, layout.isd_m, horizon,

@@ -15,7 +15,8 @@ so this package implements the pieces of it the paper consumes:
   Table IV ("days with full battery", downtime), and
 * a sizing search that finds the minimal zero-downtime configuration.
 
-See DESIGN.md section 3 for the substitution rationale and calibration notes.
+See ``docs/reproducing.md``, "Weather substitution", for the substitution
+rationale and calibration notes.
 """
 
 from repro.solar.geometry import SolarGeometry, declination_rad, sunset_hour_angle_rad

@@ -205,21 +205,20 @@ def simulate_systems(systems,
                      days: int = 365,
                      initial_soc: float = 1.0,
                      start_day_of_year: int | None = None,
-                     weather_cache: WeatherCache | None = None,
-                     backend: str | None = None) -> list[OffGridResult]:
+                     weather_cache: WeatherCache | None = None
+                     ) -> list[OffGridResult]:
     """Batched hourly energy balance over every system at once.
 
     Weather is synthesized once per unique :class:`WeatherKey` (memoized
     through ``weather_cache``); the battery clip-recurrence then runs
     through the :func:`repro.kernels.soc_scan` kernel — a single flattened
-    hour-major walk whose element-wise operation order matches
-    :meth:`~repro.solar.offgrid.OffGridSystem.simulate_year` exactly, so
-    the returned results are bit-identical to the scalar path under both
-    the ``"reference"`` and the fused ``"numpy"`` backend (the fused walk
-    hoists all accounting out of the loop but reproduces the reference
-    accumulation order bitwise) — ``system.simulate_year(days)`` is the
-    per-system escape hatch / audit path, pinned equal in
-    ``tests/test_engine_parity.py``.
+    hour-major walk in SoC units that hoists all accounting out of the
+    loop.  Integer counts and the PV sums are bit-identical to
+    :meth:`~repro.solar.offgrid.OffGridSystem.simulate_year`, the
+    SoC-dependent floats agree to 1e-9, and with the reference step loop
+    (:func:`repro.kernels.reference.soc_scan`) swapped in every field is
+    bit-identical — ``system.simulate_year(days)`` is the per-system
+    escape hatch / audit path, pinned in ``tests/test_engine_parity.py``.
 
     Args:
         systems: Sequence of :class:`~repro.solar.offgrid.OffGridSystem`;
@@ -229,10 +228,7 @@ def simulate_systems(systems,
         start_day_of_year: First day of year; ``None`` uses the Oct-1
             default that puts one continuous winter mid-simulation.
         weather_cache: Optional memo of synthesized weather tensors
-            (weather is backend-independent to 1e-9; cached tensors are
-            keyed by content, not by backend).
-        backend: Kernel backend; ``None`` resolves via ``REPRO_BACKEND``
-            and then the ``"numpy"`` default.
+            (keyed by content).
 
     Returns:
         One :class:`~repro.solar.offgrid.OffGridResult` per system, in input
@@ -275,7 +271,7 @@ def simulate_systems(systems,
     cutoff = np.array([s.battery.discharge_cutoff for s in systems])
 
     acc = soc_scan(produced_w, demanded_w, months, capacity, efficiency,
-                   cutoff, float(initial_soc), backend=backend)
+                   cutoff, float(initial_soc))
 
     return [
         OffGridResult(
@@ -303,8 +299,8 @@ def simulate_candidates(location: Location,
                         weather: WeatherParams | None = None,
                         seed: int = 2022,
                         performance_ratio: float = 0.80,
-                        weather_cache: WeatherCache | None = None,
-                        backend: str | None = None) -> list[OffGridResult]:
+                        weather_cache: WeatherCache | None = None
+                        ) -> list[OffGridResult]:
     """Evaluate a whole (PV peak, battery Wh) candidate ladder in one pass.
 
     Args:
@@ -316,12 +312,11 @@ def simulate_candidates(location: Location,
         seed: Weather-year seed shared by every candidate.
         performance_ratio: PV performance ratio.
         weather_cache: Optional memo of synthesized weather tensors.
-        backend: Kernel backend forwarded to :func:`simulate_systems`.
 
     Returns:
         One :class:`~repro.solar.offgrid.OffGridResult` per candidate, in
         order — the batched equivalent of calling ``simulate_year`` per
-        rung (bit-identical; the scalar method remains the audit path).
+        rung (the scalar method remains the audit path).
     """
     systems = [
         OffGridSystem(
@@ -334,5 +329,4 @@ def simulate_candidates(location: Location,
         )
         for pv_peak_w, battery_wh in candidates
     ]
-    return simulate_systems(systems, weather_cache=weather_cache,
-                            backend=backend)
+    return simulate_systems(systems, weather_cache=weather_cache)

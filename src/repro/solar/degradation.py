@@ -125,8 +125,7 @@ def project_lifetime(location: Location,
                      load: LoadProfile | None = None,
                      seed: int = 2022,
                      engine: str = "batch",
-                     weather_cache=None,
-                     backend: str | None = None) -> LifetimeResult:
+                     weather_cache=None) -> LifetimeResult:
     """Simulate each service year with faded capacities.
 
     Each year runs the full synthetic-weather simulation (different seeds per
@@ -137,9 +136,8 @@ def project_lifetime(location: Location,
     :func:`_fade_schedule`), then evaluates all service years as one batched
     pass with the per-year fade factors applied as array scalars and the
     per-year weather tensors memoized; ``engine="scalar"`` runs the original
-    year-by-year loop.  ``backend`` selects the batch engine's kernel
-    backend: ``"reference"`` reproduces the scalar loop bit-identically,
-    the default fused backend agrees to 1e-9 on SoC-dependent floats.
+    year-by-year loop.  The batch engine's fused kernel agrees with the
+    scalar loop to 1e-9 on SoC-dependent floats.
     """
     if service_years <= 0:
         raise ConfigurationError(f"service years must be positive, got {service_years}")
@@ -161,8 +159,7 @@ def project_lifetime(location: Location,
                           load=load, seed=seed + year)
             for year, (battery_now, pv_now) in enumerate(schedule, start=1)
         ]
-        results = simulate_systems(systems, weather_cache=weather_cache,
-                                   backend=backend)
+        results = simulate_systems(systems, weather_cache=weather_cache)
         outcomes = []
         for year, ((battery_now, pv_now), result) in enumerate(
                 zip(schedule, results), start=1):

@@ -44,8 +44,9 @@ class WeatherParams:
 
     ``sigma_kt`` and ``rho`` control day-to-day clearness variability and
     persistence; both were calibrated against the paper's Table IV outcome
-    (DESIGN.md section 3).  ``albedo`` is the ground reflectance used for the
-    reflected irradiance on the vertical module.
+    (``docs/reproducing.md``, "Weather substitution").  ``albedo`` is the
+    ground reflectance used for the reflected irradiance on the vertical
+    module.
     """
 
     sigma_kt: float = 0.13
@@ -151,8 +152,8 @@ class SyntheticWeather:
 
     # -- daily clearness series ----------------------------------------------
 
-    def daily_clearness(self, days: int = 365, start_day_of_year: int = 1,
-                        backend: str | None = None) -> np.ndarray:
+    def daily_clearness(self, days: int = 365,
+                        start_day_of_year: int = 1) -> np.ndarray:
         """AR(1) daily clearness-index series around the monthly means.
 
         Vectorized over the day axis: the whole normal vector is drawn up
@@ -161,9 +162,9 @@ class SyntheticWeather:
         the AR(1) recursion runs through the shared
         :func:`repro.kernels.ar1_scan` kernel — a zero-initialized series
         is the same recurrence with the innovation scale on the first
-        sample.  ``backend="reference"`` reproduces the historical step
-        loop bit-for-bit; the fused default matches it within 1e-9 (well
-        inside the golden-snapshot tolerance).
+        sample.  It matches the historical step loop
+        (:func:`repro.kernels.reference.ar1_scan`) within 1e-9, well
+        inside the golden-snapshot tolerance.
         """
         rng = np.random.default_rng(self.seed)
         p = self.params
@@ -172,7 +173,7 @@ class SyntheticWeather:
         innovation = np.sqrt(max(1e-12, 1.0 - p.rho**2))
         steps = max(days - 1, 1)
         z = ar1_scan(rng.standard_normal(days), np.full(steps, p.rho),
-                     np.full(steps, innovation), innovation, backend=backend)
+                     np.full(steps, innovation), innovation)
         return np.clip(means + p.sigma_kt * z, p.kt_min, p.kt_max)
 
     # -- hourly synthesis ------------------------------------------------------

@@ -55,8 +55,7 @@ def find_minimal_system(location: Location,
                         seed: int = 2022,
                         performance_ratio: float = 0.80,
                         engine: str = "batch",
-                        weather_cache=None,
-                        backend: str | None = None) -> SizingResult:
+                        weather_cache=None) -> SizingResult:
     """First zero-downtime configuration from the candidate ladder.
 
     Raises :class:`InfeasibleError` when even the largest candidate has
@@ -67,17 +66,15 @@ def find_minimal_system(location: Location,
     pass with the weather year synthesized once and memoized
     (:mod:`repro.solar.batch`); ``engine="scalar"`` walks the ladder with
     per-candidate :meth:`~repro.solar.offgrid.OffGridSystem.simulate_year`
-    calls.  ``backend`` selects the kernel backend of the batch engine
-    (``"reference"`` is bit-identical to the scalar walk; the default fused
-    backend agrees to 1e-9 on SoC-dependent floats and exactly on
-    everything else, so both engines pick the same configuration).
+    calls.  The batch engine's fused kernel agrees with the scalar walk to
+    1e-9 on SoC-dependent floats and exactly on everything else, so both
+    engines pick the same configuration.
     """
     if engine == "batch":
         from repro.solar.batch import simulate_candidates
         results = simulate_candidates(
             location, candidates, load=load, weather=weather, seed=seed,
-            performance_ratio=performance_ratio, weather_cache=weather_cache,
-            backend=backend)
+            performance_ratio=performance_ratio, weather_cache=weather_cache)
     elif engine == "scalar":
         results = (
             OffGridSystem(

@@ -209,8 +209,7 @@ def _run_solar(cases: list[dict], seeds: list[int], context: dict) -> list[dict]
                 rows[i] = row
         return rows
     results = simulate_systems(systems, days=days.pop(),
-                               weather_cache=_context_weather_cache(context),
-                               backend=context.get("backend"))
+                               weather_cache=_context_weather_cache(context))
     return [{
         "zero_downtime": int(r.zero_downtime),
         "unmet_hours": r.unmet_hours,
@@ -240,8 +239,7 @@ def _run_mc(cases: list[dict], seeds: list[int], context: dict) -> list[dict]:
         matrix = outage_matrix([profile], shadowing,
                                threshold_db=float(case["threshold_db"]),
                                trials=int(case["trials"]), seed=seed,
-                               engine=str(case["engine"]),
-                               backend=context.get("backend"))
+                               engine=str(case["engine"]))
         ci_low, ci_high = matrix.ci95()
         rows.append({
             "outage_probability": float(matrix.outage_probability[0]),
@@ -320,8 +318,7 @@ def _run_sim(cases: list[dict], seeds: list[int], context: dict) -> list[dict]:
                             timetables=timetables,
                             transition_s=float(case["transition_s"]),
                             wake_lead_m=float(case["wake_lead_m"]),
-                            engine=str(case["engine"]),
-                            backend=context.get("backend"))
+                            engine=str(case["engine"]))
         ci_low, ci_high = sim.ci95_w_per_km()
         rows.append({
             "service_hours": service_hours, "feasible": 1,
@@ -538,10 +535,8 @@ def run_cases(engine: str, cases: list[dict], seeds: list[int],
             adapter defaults are applied here).
         seeds: Engine seed per case, aligned with ``cases``.
         context: Optional shared state — ``profile_cache``, ``weather_cache``
-            (both fall back to per-process module caches), ``jobs`` (radio
-            thread sharding), and ``backend`` (kernel backend name forwarded
-            to the stochastic engines; ``None`` resolves via
-            ``REPRO_BACKEND``).  Other keys pass through untouched: the
+            (both fall back to per-process module caches) and ``jobs``
+            (radio thread sharding).  Other keys pass through untouched: the
             supervised runner ships a ``fault_plan`` mapping here
             (:mod:`repro.faults`), consumed by the worker entry point
             before this function runs.

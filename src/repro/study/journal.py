@@ -33,17 +33,17 @@ interrupt   completed
 cancel      completed
 run_end     computed, reused, failed, interrupted, cancelled, partial,
             wall_s
-manifest    path, worker, of, shards, backend
+manifest    path, worker, of, shards
 merge_start study, compute_hash, manifests, shards
 worker_replay  worker, source, events
-merge_crn_check  sampled, cases, backends
+merge_crn_check  sampled, cases
 merge_end   rows, shards, workers, wall_s
 refresh_start  study, compute_hash, previous_hash, cases
 refresh_end changed, reused, rows, wall_s
 ========== =================================================================
 
 The distributed layer (:mod:`repro.study.distributed`) emits the last seven
-events: ``manifest`` when a shard-slice run signs its sidecar,
+events: ``manifest`` when a shard-slice run writes its sidecar,
 ``merge_start`` / ``worker_replay`` / ``merge_crn_check`` / ``merge_end``
 around a manifest merge (each worker's journal is replayed verbatim into
 the merged journal via :meth:`RunJournal.append`, *between* its

@@ -1,4 +1,4 @@
-"""Signed shard manifests: the trust boundary of distributed studies.
+"""Digest-stamped shard manifests: the trust boundary of distributed studies.
 
 A worker that executes a slice of a study's shard layout
 (:mod:`repro.study.distributed`, ``repro study shard``) leaves behind two
@@ -15,15 +15,16 @@ worker claims to have computed:
   ``__checksum__`` :class:`~repro.scenario.cache.ArrayCache` stamped into
   the ``.npz`` at write time.
 
-The document is **signed**: the file stores ``{"manifest": payload,
-"signature": sha256(canonical-json(payload))}``.  The signature is not a
-secret-key MAC — it is a tamper-*evidence* seal in the spirit of the store
-checksums: a hand-edited case range, a swapped checksum or a torn write
-fails verification on load (:exc:`~repro.errors.ManifestError`), and a
-bundle swapped on disk without updating the manifest fails the merge's
-checksum cross-check (:exc:`~repro.errors.MergeValidationError`).  Either
-way the merge refuses quietly-wrong inputs instead of producing a
-quietly-wrong table.
+The file stores ``{"manifest": payload, "digest":
+sha256(canonical-json(payload))}``.  The digest is **unkeyed**: it catches
+a torn write or a hand-edited payload (a changed case range or checksum
+whose digest was not recomputed) on load
+(:exc:`~repro.errors.ManifestError`), and a bundle swapped on disk without
+updating the manifest fails the merge's checksum cross-check
+(:exc:`~repro.errors.MergeValidationError`).  It does **not** authenticate
+the worker: anyone can forge a manifest and recompute its digest.  Only
+the merge's CRN spot-check — recomputing sampled cases inline and
+comparing them bit for bit — catches a forged manifest over wrong rows.
 """
 
 from __future__ import annotations
@@ -39,24 +40,26 @@ from repro.study.spec import StudySpec
 
 __all__ = ["MANIFEST_VERSION", "ShardEntry", "ShardManifest",
            "build_manifest", "default_manifest_name", "load_manifest",
-           "sign_payload", "write_manifest"]
+           "payload_digest", "write_manifest"]
 
 #: Schema version of the manifest payload; bumped on incompatible change.
-MANIFEST_VERSION = 1
+MANIFEST_VERSION = 2
 
 _PAYLOAD_KEYS = {"manifest_version", "study", "engine", "compute_hash",
-                 "case_count", "seed", "seed_mode", "backend", "version",
+                 "case_count", "seed", "seed_mode", "version",
                  "worker", "of", "layout", "shards"}
 
 _ENTRY_KEYS = {"index", "start", "stop", "key", "checksum", "rows"}
 
 
-def sign_payload(payload: dict) -> str:
-    """SHA-256 signature over the canonical JSON form of ``payload``.
+def payload_digest(payload: dict) -> str:
+    """Unkeyed SHA-256 digest of the canonical JSON form of ``payload``.
 
-    Canonical means ``sort_keys`` + minimal separators, so the signature is
+    Canonical means ``sort_keys`` + minimal separators, so the digest is
     independent of mapping order and whitespace — the same document always
-    signs identically, and any semantic edit changes the signature.
+    digests identically, and any semantic edit changes the digest.  Being
+    unkeyed, it detects accidents and edits, not a forger who recomputes
+    it.
     """
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()
@@ -100,16 +103,13 @@ class ShardEntry:
 
 @dataclass(frozen=True)
 class ShardManifest:
-    """A worker's signed claim over one slice of a study's shard layout.
+    """A worker's claim over one slice of a study's shard layout.
 
     Attributes
     ----------
     study / engine / compute_hash / case_count / seed / seed_mode / version:
         Study identity and provenance (``version`` is the ``repro``
         release that produced the bundles).
-    backend:
-        Resolved kernel backend the slice was computed with — merges
-        refuse to mix backends, whose results agree only to tolerance.
     worker / of:
         This worker's position in the ``of``-way split.
     layout:
@@ -125,7 +125,6 @@ class ShardManifest:
     case_count: int
     seed: int
     seed_mode: str
-    backend: str
     version: str
     worker: int
     of: int
@@ -137,7 +136,7 @@ class ShardManifest:
         return tuple(entry.index for entry in self.shards)
 
     def to_payload(self) -> dict:
-        """The JSON payload that gets signed and written."""
+        """The JSON payload that gets digested and written."""
         return {
             "manifest_version": MANIFEST_VERSION,
             "study": self.study,
@@ -146,7 +145,6 @@ class ShardManifest:
             "case_count": self.case_count,
             "seed": self.seed,
             "seed_mode": self.seed_mode,
-            "backend": self.backend,
             "version": self.version,
             "worker": self.worker,
             "of": self.of,
@@ -222,7 +220,6 @@ class ShardManifest:
                 case_count=int(payload["case_count"]),
                 seed=int(payload["seed"]),
                 seed_mode=str(payload["seed_mode"]),
-                backend=str(payload["backend"]),
                 version=str(payload["version"]),
                 worker=int(payload["worker"]), of=int(payload["of"]),
                 layout=tuple((int(s), int(e)) for s, e in layout),
@@ -234,7 +231,7 @@ class ShardManifest:
 
 def build_manifest(spec: StudySpec, store: StudyStore,
                    layout: list[tuple[int, int]], shard_indices,
-                   worker: int, of: int, backend: str) -> ShardManifest:
+                   worker: int, of: int) -> ShardManifest:
     """Assemble a manifest from the bundles a slice run left in ``store``.
 
     Every claimed shard is re-verified against the disk right here: its
@@ -249,10 +246,9 @@ def build_manifest(spec: StudySpec, store: StudyStore,
         shard_indices: Layout indices this worker owns.
         worker: Worker position in the split.
         of: Total workers in the split.
-        backend: Resolved kernel backend the shards were computed with.
 
     Returns:
-        The manifest (unsigned until :func:`write_manifest`).
+        The manifest (digested by :func:`write_manifest`).
 
     Raises:
         ManifestError: When a claimed shard bundle is missing from the
@@ -276,14 +272,14 @@ def build_manifest(spec: StudySpec, store: StudyStore,
     return ShardManifest(
         study=spec.name, engine=spec.engine,
         compute_hash=spec.compute_hash, case_count=spec.case_count,
-        seed=int(spec.seed), seed_mode=spec.seed_mode, backend=backend,
+        seed=int(spec.seed), seed_mode=spec.seed_mode,
         version=__version__, worker=int(worker), of=int(of),
         layout=tuple((int(s), int(e)) for s, e in layout),
         shards=tuple(entries))
 
 
 def write_manifest(manifest: ShardManifest, path: str | Path) -> Path:
-    """Sign and write a manifest document.
+    """Write a manifest document with its payload digest.
 
     Args:
         manifest: The manifest to persist.
@@ -295,13 +291,13 @@ def write_manifest(manifest: ShardManifest, path: str | Path) -> Path:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     payload = manifest.to_payload()
-    document = {"manifest": payload, "signature": sign_payload(payload)}
+    document = {"manifest": payload, "digest": payload_digest(payload)}
     path.write_text(json.dumps(document, indent=2) + "\n")
     return path
 
 
 def load_manifest(path: str | Path) -> ShardManifest:
-    """Load, signature-verify and validate a manifest document.
+    """Load, digest-check and validate a manifest document.
 
     Args:
         path: The manifest file.
@@ -311,8 +307,8 @@ def load_manifest(path: str | Path) -> ShardManifest:
 
     Raises:
         ManifestError: On unreadable files, invalid JSON, a missing
-            ``manifest``/``signature`` envelope, a signature that does not
-            match the payload (tampering or a torn write), or any payload
+            ``manifest``/``digest`` envelope, a digest that does not match
+            the payload (a hand edit or a torn write), or any payload
             schema violation.
     """
     path = Path(path)
@@ -325,18 +321,18 @@ def load_manifest(path: str | Path) -> ShardManifest:
         raise ManifestError(
             f"manifest {str(path)!r} is not valid JSON: {exc}") from None
     if (not isinstance(document, dict)
-            or set(document) != {"manifest", "signature"}):
+            or set(document) != {"manifest", "digest"}):
         raise ManifestError(
             f"manifest {str(path)!r} must be a "
-            f"{{'manifest': ..., 'signature': ...}} document")
+            f"{{'manifest': ..., 'digest': ...}} document")
     payload = document["manifest"]
-    signature = document["signature"]
-    if not isinstance(payload, dict) or not isinstance(signature, str):
+    digest = document["digest"]
+    if not isinstance(payload, dict) or not isinstance(digest, str):
         raise ManifestError(
             f"manifest {str(path)!r}: envelope types are wrong "
-            f"(payload must be a mapping, signature a hex string)")
-    if sign_payload(payload) != signature:
+            f"(payload must be a mapping, digest a hex string)")
+    if payload_digest(payload) != digest:
         raise ManifestError(
-            f"manifest {str(path)!r} fails its signature — the document "
-            f"was edited or torn after signing")
+            f"manifest {str(path)!r} fails its digest — the document "
+            f"was edited or torn after it was written")
     return ShardManifest.from_payload(payload, source=str(path))

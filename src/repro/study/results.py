@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -131,7 +130,7 @@ class StudyTable:
 
         Args:
             metadata: Optional mapping embedded verbatim under a
-                ``"metadata"`` key (e.g. the resolved kernel backend).
+                ``"metadata"`` key (e.g. the service job id and state).
 
         Returns:
             A plain dict with ``study``/``engine``/``axes``/``metrics``/
@@ -156,7 +155,7 @@ class StudyTable:
         """Write a JSON provenance document (study id + wide records).
 
         NaN cells (infeasible cases) are serialized as ``null`` so the output
-        is strict JSON.  ``metadata`` (e.g. the resolved kernel backend)
+        is strict JSON.  ``metadata`` (e.g. the merge's worker count)
         is embedded verbatim under a ``"metadata"`` key when given (see
         :meth:`to_document`).
         """
@@ -320,58 +319,6 @@ class StudyStore(ArrayCache):
         fails verification (see :meth:`~repro.scenario.cache.ArrayCache.stored_checksum`).
         """
         return self.stored_checksum(self.shard_key(spec, start, stop))
-
-    def _metadata_path(self, spec: StudySpec) -> Path | None:
-        if self.cache_dir is None:
-            return None
-        return self.cache_dir / f"{spec.compute_hash[:40]}-meta.json"
-
-    def run_metadata(self, spec: StudySpec) -> dict | None:
-        """The run metadata recorded for ``spec``, or ``None``.
-
-        The runner persists a small JSON sidecar per spec (currently the
-        resolved kernel backend plus provenance) so a resume can detect
-        that it is about to compute new shards under different settings
-        than the shards already in the store.
-
-        Args:
-            spec: The study whose metadata to read.
-
-        Returns:
-            The recorded mapping, or ``None`` when the store has no disk
-            layer, nothing was recorded, or the sidecar is unreadable.
-        """
-        path = self._metadata_path(spec)
-        if path is None or not path.exists():
-            return None
-        try:
-            document = json.loads(path.read_text())
-        except (OSError, ValueError):
-            return None
-        return document if isinstance(document, dict) else None
-
-    def put_run_metadata(self, spec: StudySpec, metadata: dict) -> None:
-        """Persist the run metadata sidecar for ``spec`` (best effort).
-
-        Uses the same write-then-rename discipline as the array bundles;
-        an unwritable directory degrades silently (counted in
-        :attr:`~repro.scenario.cache.ArrayCache.disk_errors`) — metadata
-        must never take down the run it describes.
-        """
-        path = self._metadata_path(spec)
-        if path is None:
-            return
-        tmp_path = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-        try:
-            tmp_path.write_text(json.dumps(metadata, indent=2) + "\n")
-            os.replace(tmp_path, path)
-        except OSError:
-            self.disk_errors += 1
-        finally:
-            try:
-                tmp_path.unlink(missing_ok=True)
-            except OSError:
-                pass
 
     def stored_ranges(self, spec: StudySpec) -> list[tuple[int, int]]:
         """Case ranges of ``spec`` present in the disk layer, sorted.

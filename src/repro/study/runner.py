@@ -66,7 +66,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.backend import resolve_backend_name
 from repro.errors import ConfigurationError, StudyExecutionError
 from repro.faults import CONTEXT_KEY as _FAULT_CONTEXT_KEY
 from repro.faults import FaultPlan
@@ -184,7 +183,7 @@ def _run_shard(payload: tuple[StudySpec, int, int, dict, int, int]
 
 #: Context keys that are plain data and may cross a process boundary; live
 #: cache objects (``profile_cache``, ``weather_cache``) stay inline-only.
-_PICKLABLE_CONTEXT_KEYS = ("cache_dir", "jobs", "backend", _FAULT_CONTEXT_KEY)
+_PICKLABLE_CONTEXT_KEYS = ("cache_dir", "jobs", _FAULT_CONTEXT_KEY)
 
 
 @dataclass(frozen=True)
@@ -318,8 +317,7 @@ def run_study(spec: StudySpec,
               backoff_cap: float = 8.0,
               journal: str | Path | RunJournal | None = None,
               cancel: Callable[[], bool] | None = None,
-              only_shards: Sequence[int] | None = None,
-              force_backend: bool = False) -> StudyRunReport:
+              only_shards: Sequence[int] | None = None) -> StudyRunReport:
     """Execute a study under the supervisor and merge its shards.
 
     Args:
@@ -338,7 +336,7 @@ def run_study(spec: StudySpec,
             rerun with the same store to continue.
         context: Optional engine context.  ``profile_cache`` /
             ``weather_cache`` objects are honoured inline (``jobs=1``) only;
-            ``cache_dir`` (a path string), ``backend`` and ``fault_plan``
+            ``cache_dir`` (a path string) and ``fault_plan``
             (a :meth:`repro.faults.FaultPlan.to_context` mapping) are
             forwarded to worker processes.
         retries: Extra attempts per failing shard (``0`` keeps the historic
@@ -372,10 +370,6 @@ def run_study(spec: StudySpec,
             indices across workers — :mod:`repro.study.distributed` uses a
             round-robin slice — produces bundles a merge can reassemble
             bit-identically.
-        force_backend: Accept a kernel backend that differs from the one
-            recorded in the store's run metadata (the recorded value is
-            then overwritten).  Without it, such a resume fails instead of
-            silently mixing backends in one store (see Raises).
 
     Returns:
         The :class:`StudyRunReport` with the merged
@@ -389,13 +383,7 @@ def run_study(spec: StudySpec,
 
     Raises:
         ConfigurationError: On invalid ``jobs``/``shards``/``retries``/
-            ``only_shards``; also when new shards are about to be computed
-            into a store whose recorded run metadata names a *different*
-            kernel backend than this run resolves to (``numpy`` vs
-            ``reference`` vs ``numba`` results agree only to tolerance,
-            not bit-for-bit, so mixing them would silently break the CRN
-            bit-identity contract) — pass ``force_backend=True``
-            (CLI ``--force``) to accept the mix.
+            ``only_shards``.
         StudyExecutionError: When a shard exhausts its retry budget through
             crashes or timeouts and ``keep_going`` is off.  Engine
             exceptions (including injected faults) are re-raised unchanged
@@ -476,25 +464,6 @@ def run_study(spec: StudySpec,
 
     if max_shards is not None:
         pending = pending[:max_shards]
-
-    backend = resolve_backend_name(context.get("backend"))
-    if store is not None and pending:
-        # About to compute new bundles into this store: refuse to mix
-        # kernel backends (their results agree only to tolerance, which
-        # would break the bit-identity contract of resumes and merges).
-        recorded = (store.run_metadata(spec) or {}).get("backend")
-        if (recorded is not None and recorded != backend
-                and not force_backend):
-            raise ConfigurationError(
-                f"store holds shards of {spec.name!r} computed with "
-                f"backend {recorded!r}, but this run resolves to "
-                f"{backend!r}; mixing backends in one store breaks "
-                f"bit-identical resume — rerun with the recorded backend "
-                f"or pass --force to accept the mix")
-        from repro import __version__
-        store.put_run_metadata(spec, {
-            "study": spec.name, "compute_hash": spec.compute_hash,
-            "backend": backend, "version": __version__})
 
     def record(index: int, start: int, stop: int, shard: ShardTable,
                attempt: int, wall_s: float) -> None:

@@ -3,23 +3,23 @@
 Pins the tentpole contracts of :mod:`repro.study.distributed` and
 :mod:`repro.study.manifest`:
 
-* a signed manifest round-trips bit-exactly and any post-signing edit is
-  rejected on load;
+* a manifest round-trips bit-exactly and any edit that leaves its digest
+  stale is rejected on load (the digest is unkeyed: a forged manifest with
+  a recomputed digest is caught only by the merge's CRN spot-check);
 * any K-worker round-robin split of the shard layout, merged back through
   ``merge_manifests``, is bit-identical (NaN-aware) to a single-machine
   run — including uneven slices and empty slices (more workers than
   shards);
-* the merge refuses overlapping, incomplete, stale, mixed-backend and
-  tampered shard sets with structured errors naming the violated rule;
+* the merge refuses overlapping, incomplete, stale and tampered shard
+  sets with structured errors naming the violated rule;
 * ``refresh_study`` re-executes exactly the hash-changed case set of an
   updated spec and reuses everything else verbatim;
 * the ``corrupt_manifest`` fault action tears a manifest mid-run and the
-  damage surfaces at merge time as a signature failure (CLI exit 4).
+  damage surfaces at merge time as a digest failure (CLI exit 4).
 """
 
 import json
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -43,7 +43,7 @@ from repro.study import (
     slice_shards,
     write_manifest,
 )
-from repro.study.manifest import default_manifest_name, sign_payload
+from repro.study.manifest import default_manifest_name, payload_digest
 
 MC_TEXT = """
 name: mc-dist
@@ -147,7 +147,23 @@ class TestManifest:
         document = json.loads(slice_run.manifest_path.read_text())
         document["manifest"]["shards"][0]["checksum"] = "0" * 64
         slice_run.manifest_path.write_text(json.dumps(document))
-        with pytest.raises(ManifestError, match="signature"):
+        with pytest.raises(ManifestError, match="digest"):
+            load_manifest(slice_run.manifest_path)
+
+    def test_version_1_manifest_rejected(self, tmp_path):
+        # The previous format: a "signature" envelope and a kernel
+        # "backend" field in the payload.
+        _, slice_run = self.slice_manifest(tmp_path)
+        document = json.loads(slice_run.manifest_path.read_text())
+        payload = dict(document["manifest"], manifest_version=1,
+                       backend="numpy")
+        slice_run.manifest_path.write_text(json.dumps(
+            {"manifest": payload, "signature": payload_digest(payload)}))
+        with pytest.raises(ManifestError, match="'digest'"):
+            load_manifest(slice_run.manifest_path)
+        slice_run.manifest_path.write_text(json.dumps(
+            {"manifest": payload, "digest": payload_digest(payload)}))
+        with pytest.raises(ManifestError, match="keys mismatch"):
             load_manifest(slice_run.manifest_path)
 
     def test_torn_write_rejected(self, tmp_path):
@@ -163,7 +179,7 @@ class TestManifest:
         payload = document["manifest"]
         payload["surprise"] = 1
         del payload["seed_mode"]
-        document["signature"] = sign_payload(payload)  # re-signed edit
+        document["digest"] = payload_digest(payload)  # re-digested edit
         slice_run.manifest_path.write_text(json.dumps(document))
         with pytest.raises(ManifestError, match="keys mismatch"):
             load_manifest(slice_run.manifest_path)
@@ -173,8 +189,7 @@ class TestManifest:
         store = StudyStore(maxsize=8, cache_dir=tmp_path / "w0")
         layout = shard_ranges(spec.case_count, 4)
         with pytest.raises(ManifestError, match="missing from the store"):
-            build_manifest(spec, store, layout, [0], worker=0, of=2,
-                           backend="numpy")
+            build_manifest(spec, store, layout, [0], worker=0, of=2)
 
 
 # -- merge parity -------------------------------------------------------------
@@ -191,7 +206,6 @@ class TestMergeParity:
         out_store = StudyStore(maxsize=8, cache_dir=tmp_path / "merged")
         report = merge_manifests(spec, manifests, out_store=out_store)
         assert_tables_identical(report.table, inline.table)
-        assert report.backend == report.manifests[0].backend
         assert 0 in report.crn_cases
         assert spec.case_count - 1 in max(
             [report.crn_cases], key=len)  # ends always sampled
@@ -266,13 +280,13 @@ class TestMergeRejection:
         assert self.kind_of(excinfo) == "layout"
 
     def test_resigned_range_edit_rejected_by_layout_check(self, tmp_path):
-        # A correctly *re-signed* manifest whose shard entry lies about
-        # its case range: the signature passes, the layout rule does not —
-        # the seal is tamper evidence, not the only line of defence.
+        # A manifest whose shard entry lies about its case range, with its
+        # digest recomputed: the digest passes, the layout rule does not —
+        # the unkeyed digest only catches accidents, not forgeries.
         spec, manifests = self.split(tmp_path)
         document = json.loads(manifests[0].read_text())
         document["manifest"]["shards"][0]["stop"] += 1
-        document["signature"] = sign_payload(document["manifest"])
+        document["digest"] = payload_digest(document["manifest"])
         manifests[0].write_text(json.dumps(document))
         with pytest.raises(MergeValidationError) as excinfo:
             merge_manifests(spec, manifests)
@@ -284,8 +298,7 @@ class TestMergeRejection:
         # worker 0 — from worker 0's own (valid) bundles.
         store0 = StudyStore(maxsize=8, cache_dir=tmp_path / "worker0")
         layout = shard_ranges(spec.case_count, 4)
-        forged = build_manifest(spec, store0, layout, [0], worker=2, of=2,
-                                backend=load_manifest(manifests[0]).backend)
+        forged = build_manifest(spec, store0, layout, [0], worker=2, of=2)
         forged_path = write_manifest(forged, tmp_path / "worker0"
                                      / "forged.json")
         with pytest.raises(MergeValidationError) as excinfo:
@@ -298,22 +311,6 @@ class TestMergeRejection:
             merge_manifests(spec, manifests[:1])  # worker 1 never arrived
         assert self.kind_of(excinfo) == "missing"
         assert excinfo.value.details["shards"] == [1, 3]
-
-    def test_mixed_backends_rejected(self, tmp_path):
-        spec, manifests = self.split(tmp_path)
-        original = load_manifest(manifests[1])
-        rebadged = replace(original, backend="reference")
-        write_manifest(rebadged, manifests[1])
-        with pytest.raises(MergeValidationError) as excinfo:
-            merge_manifests(spec, manifests)
-        assert self.kind_of(excinfo) == "backend"
-
-    def test_context_backend_mismatch_rejected(self, tmp_path):
-        spec, manifests = self.split(tmp_path)
-        with pytest.raises(MergeValidationError) as excinfo:
-            merge_manifests(spec, manifests,
-                            context={"backend": "reference"})
-        assert self.kind_of(excinfo) == "backend"
 
     def test_tampered_bundle_rejected(self, tmp_path):
         spec, manifests = self.split(tmp_path)
@@ -337,9 +334,7 @@ class TestMergeRejection:
                                              dtype=float) + 0.25
         store0.put_shard(spec, start, stop, raw)
         layout = shard_ranges(spec.case_count, 4)
-        honest = build_manifest(
-            spec, store0, layout, [0, 2], worker=0, of=2,
-            backend=load_manifest(manifests[0]).backend)
+        honest = build_manifest(spec, store0, layout, [0, 2], worker=0, of=2)
         write_manifest(honest, manifests[0])
         with pytest.raises(MergeValidationError) as excinfo:
             merge_manifests(spec, manifests, crn_sample=spec.case_count)
@@ -432,7 +427,7 @@ class TestManifestFault:
                             journal=RunJournal(None),
                             context={"fault_plan": plan.to_context()})
         assert b.complete
-        with pytest.raises(ManifestError, match="signature"):
+        with pytest.raises(ManifestError, match="digest"):
             merge_manifests(spec, [a.manifest_path, b.manifest_path])
 
 

@@ -6,6 +6,7 @@ actually catch the failure modes they exist for (missing nav targets,
 orphan pages, broken links and anchors, stale API pages).
 """
 
+import re
 from pathlib import Path
 
 import pytest
@@ -94,6 +95,39 @@ class TestRealSite:
         assert "scalar" in mc  # the engine="scalar" audit-path note
         sim = (REPO_ROOT / "docs/api/simulation-batch.md").read_text()
         assert 'engine="event"' in sim or "escape hatch" in sim
+
+
+#: A Markdown file cited from the source: a ``docs/`` path or an upper-case
+#: file at the repository root (README.md, EXPERIMENTS.md, ...).
+_CITED_MD = re.compile(r"\b(?:docs/[\w./-]+|[A-Z][A-Z_]*)\.md\b")
+#: A citation naming a section: ``docs/x.md``, "Section title".
+_CITED_SECTION = re.compile(r'``(docs/[\w./-]+\.md)``, "([^"]+)"')
+
+
+class TestSourceCitations:
+    """Docstrings and comments under ``src/`` cite documents that exist."""
+
+    def _sources(self):
+        return sorted((REPO_ROOT / "src").rglob("*.py"))
+
+    def test_every_cited_markdown_file_exists(self):
+        missing = [f"{path.relative_to(REPO_ROOT)}: {cited}"
+                   for path in self._sources()
+                   for cited in _CITED_MD.findall(path.read_text())
+                   if not (REPO_ROOT / cited).is_file()]
+        assert missing == []
+
+    def test_every_cited_section_exists(self):
+        cited = 0
+        for path in self._sources():
+            # Join wrapped docstring and ``#:`` comment lines.
+            text = re.sub(r"\s*\n\s*(?:#:?\s*)?", " ", path.read_text())
+            for doc, title in _CITED_SECTION.findall(text):
+                headings = {heading for _, heading, _ in
+                            render((REPO_ROOT / doc).read_text()).headings}
+                assert title in headings, f"{path.name}: {doc} {title!r}"
+                cited += 1
+        assert cited >= 10
 
 
 # -- strict checks catch real failures ----------------------------------------

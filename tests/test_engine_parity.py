@@ -12,7 +12,7 @@ sweep:
   result fields per weather seed);
 * **mc**     — :func:`repro.optimize.mc.outage_matrix` batched vs.
   ``engine="scalar"`` (trial-for-trial bit-identical under common random
-  numbers with ``backend="reference"``; fused backends pinned <= 1e-9);
+  numbers on the reference kernels; the fused kernels pinned <= 1e-9);
 * **sim**    — :func:`repro.simulation.batch.simulate_days` batch vs.
   ``engine="event"`` (equal to 1e-9: both engines see bit-identical event
   instants and differ only by float summation order);
@@ -21,11 +21,12 @@ sweep:
   (bit-identical frontier arrays), and the optimizer through the study
   runner for any ``jobs``/``shards`` layout (inline == pooled).
 
-Every stochastic comparison also sweeps the kernel-backend axis
-(:func:`repro.backend.available_backends`): the solar engine is
-bit-identical on *every* backend, the mc engine is bit-identical on
-``"reference"`` and pinned to <= 1e-9 on the fused backends, and the sim
-engine's batch/event agreement holds per backend.
+Every stochastic comparison runs twice: on the fused production kernels
+and on the step-loop oracles of :mod:`repro.kernels.reference`, swapped in
+through the shared ``reference_kernels`` fixture.  The solar and mc
+engines are bit-identical to their scalar paths on the reference kernels
+and pinned to <= 1e-9 (solar: exact except the SoC-dependent floats) on
+the fused ones; the sim engine's output does not depend on the swap.
 
 It replaces the per-PR ad-hoc equality tests that previously lived in
 ``test_batch.py`` / ``test_solar_batch.py`` / ``test_mc_engine.py``;
@@ -37,8 +38,6 @@ import dataclasses
 
 import numpy as np
 import pytest
-
-from repro.backend import available_backends
 
 from repro.corridor.layout import CorridorLayout
 from repro.energy.duty import EnergyParams
@@ -90,7 +89,7 @@ class TestSolarParity:
 
     @pytest.mark.parametrize("key", tuple(LOCATIONS))
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_every_field_matches_scalar(self, key, seed):
+    def test_every_field_matches_scalar(self, key, seed, reference_kernels):
         systems = [
             OffGridSystem(LOCATIONS[key], pv=PvArray(peak_w=pv),
                           battery=Battery(capacity_wh=wh), seed=seed)
@@ -99,26 +98,27 @@ class TestSolarParity:
         cache = WeatherCache()
         scalars = [system.simulate_year(start_day_of_year=274)
                    for system in systems]
-        # The reference backend replays the scalar walk bitwise; fused
-        # backends run the SoC-space formulation, so their SoC-dependent
-        # floats are pinned at 1e-9 while integer counts, metadata, and
-        # the hour-order PV sums stay exact.
+        # The fused kernel runs the SoC-space formulation, so its
+        # SoC-dependent floats are pinned at 1e-9 while integer counts,
+        # metadata, and the hour-order PV sums stay exact; the reference
+        # kernel replays the scalar walk bitwise.
         soc_dependent = {"unmet_wh", "min_soc", "annual_load_kwh"}
-        for backend in available_backends():
-            batched = simulate_systems(systems, start_day_of_year=274,
-                                       weather_cache=cache, backend=backend)
-            for scalar, result in zip(scalars, batched):
-                for name in self.FIELDS:
-                    got, want = getattr(result, name), getattr(scalar, name)
-                    if backend != "reference" and name in soc_dependent:
-                        np.testing.assert_allclose(
-                            got, want, rtol=1e-9, atol=1e-9,
-                            err_msg=f"{backend}:{name}")
-                    else:
-                        assert got == want, f"{backend}:{name}"
+        fused = simulate_systems(systems, start_day_of_year=274,
+                                 weather_cache=cache)
+        for scalar, result in zip(scalars, fused):
+            for name in self.FIELDS:
+                got, want = getattr(result, name), getattr(scalar, name)
+                if name in soc_dependent:
+                    np.testing.assert_allclose(got, want, rtol=1e-9,
+                                               atol=1e-9, err_msg=name)
+                else:
+                    assert got == want, name
 
-        reference = simulate_systems(systems, start_day_of_year=274,
-                                     weather_cache=cache, backend="reference")
+        # ``cache`` already holds the weather both sides above used, so
+        # inside the swap only the SoC walk changes kernels.
+        with reference_kernels():
+            reference = simulate_systems(systems, start_day_of_year=274,
+                                         weather_cache=cache)
         for scalar, result in zip(scalars, reference):
             assert result == scalar
 
@@ -136,39 +136,34 @@ def _mc_profiles():
 
 class TestMcParity:
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_ragged_grid_bit_identical(self, seed):
+    def test_ragged_grid_bit_identical(self, seed, reference_kernels):
         profiles = _mc_profiles()
         shadowing = LogNormalShadowing(sigma_db=4.0)
         scalar = outage_matrix(profiles, shadowing, trials=40, seed=seed,
                                engine="scalar")
-        reference = outage_matrix(profiles, shadowing, trials=40, seed=seed,
-                                  backend="reference")
+        with reference_kernels():
+            reference = outage_matrix(profiles, shadowing, trials=40,
+                                      seed=seed)
         assert np.array_equal(reference.min_snr_db, scalar.min_snr_db)
         assert np.array_equal(reference.outage_counts, scalar.outage_counts)
-        for backend in available_backends():
-            batched = outage_matrix(profiles, shadowing, trials=40,
-                                    seed=seed, backend=backend)
-            np.testing.assert_allclose(batched.min_snr_db, scalar.min_snr_db,
-                                       rtol=0.0, atol=1e-9,
-                                       err_msg=backend)
-            assert np.array_equal(batched.outage_counts,
-                                  scalar.outage_counts), backend
+        batched = outage_matrix(profiles, shadowing, trials=40, seed=seed)
+        np.testing.assert_allclose(batched.min_snr_db, scalar.min_snr_db,
+                                   rtol=0.0, atol=1e-9)
+        assert np.array_equal(batched.outage_counts, scalar.outage_counts)
 
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_trial_streams_shared_across_engines(self, seed):
+    def test_trial_streams_shared_across_engines(self, seed,
+                                                 reference_kernels):
         # Both engines consume the same per-trial generator prefix.
         model = LogNormalShadowing(sigma_db=3.0, decorrelation_m=30.0)
         pos = np.array([0.0, 4.0, 5.0, 50.0, 51.0, 300.0, 1000.0])
         scalar = np.stack([model.sample(pos, rng)
                            for rng in trial_generators(seed, 16)])
-        reference = model.sample_batch(pos, trial_generators(seed, 16),
-                                       backend="reference")
+        with reference_kernels():
+            reference = model.sample_batch(pos, trial_generators(seed, 16))
         assert np.array_equal(reference, scalar)
-        for backend in available_backends():
-            batch = model.sample_batch(pos, trial_generators(seed, 16),
-                                       backend=backend)
-            np.testing.assert_allclose(batch, scalar, rtol=0.0, atol=1e-9,
-                                       err_msg=backend)
+        batch = model.sample_batch(pos, trial_generators(seed, 16))
+        np.testing.assert_allclose(batch, scalar, rtol=0.0, atol=1e-9)
 
 
 # --- sim: batched interval algebra vs. the event queue ----------------------------
@@ -245,19 +240,18 @@ class TestSimParity:
                                  stochastic=True, realizations=2, seed=1)
 
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_backends_bit_identical(self, seed):
-        # The group-scan kernel sees bit-identical inputs on every backend
-        # and performs the same per-lane walk, so the batch engine's output
-        # must not depend on the backend at all.
+    def test_backends_bit_identical(self, seed, reference_kernels):
+        # The group-scan kernel sees bit-identical inputs on either side of
+        # the swap and performs the same per-lane walk, so the batch
+        # engine's output must not depend on it at all.
         default = simulate_days(layout=self.LAYOUT, stochastic=True,
                                 realizations=3, seed=seed)
-        for backend in available_backends():
+        with reference_kernels():
             other = simulate_days(layout=self.LAYOUT, stochastic=True,
-                                  realizations=3, seed=seed, backend=backend)
-            for name in ("active_s", "awake_s", "energy_wh"):
-                assert np.array_equal(getattr(default, name),
-                                      getattr(other, name)), \
-                    f"{backend}:{name}"
+                                  realizations=3, seed=seed)
+        for name in ("active_s", "awake_s", "energy_wh"):
+            assert np.array_equal(getattr(default, name),
+                                  getattr(other, name)), name
 
 
 # --- network: batched frontier vs. scalar reference, layout invariance -------

@@ -1,4 +1,4 @@
-"""Kernel property suite — fused backends vs. the reference step loops.
+"""Kernel property suite — fused kernels vs. the reference step loops.
 
 The parity matrix (``test_engine_parity.py``) compares whole engines; this
 module attacks the kernels directly on adversarial inputs the engines never
@@ -11,26 +11,25 @@ quite produce in one run:
 * bitwise prefix stability (the common-random-numbers contract),
 * alone-vs-joint candidate grouping in the fused min-scan,
 * the hour-order summation helpers behind the fused SoC walk,
-* the backend registry itself (resolution order, duplicate registration,
-  unavailable backends).
+* the shared reference-kernel swap (it must reach every engine call site).
 
 Reference-vs-fused tolerances: ``ar1_scan`` / ``ar1_min_scan`` are pinned to
 1e-12 (far inside the engines' 1e-9 budget); ``soc_scan`` pins the PV sums
 and integer counts exactly and the SoC-dependent floats at 1e-12 (the fused
 walk runs in SoC units); ``occupancy_scan`` is the identical function object
-on both backends.
+on both sides.
 """
+
+import importlib
+import pkgutil
+import sys
 
 import numpy as np
 import pytest
 
-import repro.backend as backend_mod
-from repro.backend import (BACKEND_ENV_VAR, Backend, available_backends,
-                           get_backend, register_backend,
-                           registered_backends, resolve_backend_name)
-from repro.errors import ConfigurationError
-from repro.kernels import (KERNEL_NAMES, ar1_min_scan, ar1_scan,
-                           occupancy_scan, soc_scan)
+import repro
+import repro.kernels
+from repro.kernels import KERNEL_NAMES, occupancy_scan
 from repro.kernels import numpy_fused, reference
 from repro.kernels.numpy_fused import _hour_order_sum, _monthly_sums
 from repro.propagation.fading import LogNormalShadowing
@@ -120,16 +119,6 @@ class TestAr1Scan:
                                         if k > 1 else innovation[:1], 1.0)
             assert np.array_equal(part, full[:, :k]), k
 
-    def test_dispatcher_backend_axis(self):
-        z = np.random.default_rng(0).standard_normal((2, 50))
-        rho, innovation = _uniform_coeffs(50)
-        ref = ar1_scan(z, rho, innovation, 1.0, backend="reference")
-        assert np.array_equal(ref, reference.ar1_scan(z, rho, innovation, 1.0))
-        for name in available_backends():
-            out = ar1_scan(z, rho, innovation, 1.0, backend=name)
-            np.testing.assert_allclose(out, ref, rtol=0.0, atol=1e-12,
-                                       err_msg=name)
-
 
 class TestAr1MinScan:
     """Grouped shared-scan min reduction vs. the step loop."""
@@ -185,13 +174,17 @@ class TestAr1MinScan:
                                      np.array([1]))
         np.testing.assert_allclose(fused, ref, rtol=0.0, atol=1e-12)
 
-    def test_sigma_zero_short_circuits_before_kernel(self):
-        # The shadowing model returns zeros before any kernel dispatch, so
-        # even a backend that cannot run resolves fine at sigma == 0.
+    def test_sigma_zero_short_circuits_before_kernel(self, monkeypatch):
+        # The shadowing model returns zeros before any kernel call: a
+        # kernel that raises is never reached at sigma == 0.
+        def kernel_called(*args, **kwargs):
+            raise AssertionError("ar1_scan called at sigma == 0")
+
+        monkeypatch.setattr("repro.propagation.fading.ar1_scan",
+                            kernel_called)
         model = LogNormalShadowing(sigma_db=0.0)
         out = model.sample_batch(np.array([0.0, 10.0, 20.0]),
-                                 [np.random.default_rng(0)] * 4,
-                                 backend="definitely-not-a-backend")
+                                 [np.random.default_rng(0)] * 4)
         assert np.array_equal(out, np.zeros((4, 3)))
 
 
@@ -273,11 +266,10 @@ class TestSocScan:
 
 
 class TestOccupancyScan:
-    """The numpy backend reuses the reference group scan unchanged."""
+    """The fused module reuses the reference group scan unchanged."""
 
     def test_numpy_aliases_reference(self):
-        assert numpy_fused.KERNELS["occupancy_scan"] is \
-            reference.KERNELS["occupancy_scan"]
+        assert numpy_fused.occupancy_scan is reference.occupancy_scan
 
     def test_dispatcher_routes(self):
         g_a = np.array([[0.0, 100.0], [50.0, np.inf]])
@@ -286,59 +278,59 @@ class TestOccupancyScan:
         n_groups = np.array([2, 1])
         expected = reference.occupancy_scan(g_a, g_b, first_wake, n_groups,
                                             5.0, 200.0)
-        for name in available_backends():
-            awake, waking = occupancy_scan(g_a, g_b, first_wake, n_groups,
-                                           5.0, 200.0, backend=name)
-            assert np.array_equal(awake, expected[0]), name
-            assert np.array_equal(waking, expected[1]), name
+        awake, waking = occupancy_scan(g_a, g_b, first_wake, n_groups,
+                                       5.0, 200.0)
+        assert np.array_equal(awake, expected[0])
+        assert np.array_equal(waking, expected[1])
 
 
-class TestRegistry:
-    """Backend registration and name resolution."""
+def _repro_modules():
+    """Every loaded ``repro.*`` module except the fused kernels' own."""
+    return [module for name, module in list(sys.modules.items())
+            if module is not None
+            and (name == "repro" or name.startswith("repro."))
+            and name != "repro.kernels.numpy_fused"]
 
-    def test_known_backends_registered(self):
-        names = registered_backends()
-        assert "numpy" in names and "reference" in names and "numba" in names
-        assert set(available_backends()) <= set(names)
-        assert "numpy" in available_backends()
-        assert "reference" in available_backends()
 
-    def test_every_available_backend_is_complete(self):
-        for name in available_backends():
-            kernels = get_backend(name).kernels
-            assert set(kernels) == set(KERNEL_NAMES), name
+class TestReferenceSwap:
+    """The shared ``reference_kernels`` swap reaches every call site.
 
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(ConfigurationError, match="already registered"):
-            register_backend(Backend(name="numpy", description="dup",
-                                     kernels={}))
+    A call site the swap misses would keep running the fused kernel, and
+    every "bit-identical under the reference kernels" assertion through
+    it would silently degrade to the fused 1e-9 agreement.
+    """
 
-    def test_resolution_order(self, monkeypatch):
-        monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
-        assert resolve_backend_name() == "numpy"
-        monkeypatch.setenv(BACKEND_ENV_VAR, "reference")
-        assert resolve_backend_name() == "reference"
-        # An explicit argument beats the environment variable.
-        assert resolve_backend_name("numpy") == "numpy"
-        assert get_backend().name == "reference"
+    def test_package_exports_the_fused_kernels(self):
+        for name in KERNEL_NAMES:
+            assert getattr(repro.kernels, name) is getattr(numpy_fused, name)
 
-    def test_unknown_backend_rejected(self, monkeypatch):
-        with pytest.raises(ConfigurationError, match="unknown backend"):
-            resolve_backend_name("fortran")
-        monkeypatch.setenv(BACKEND_ENV_VAR, "fortran")
-        with pytest.raises(ConfigurationError, match="unknown backend"):
-            resolve_backend_name()
-
-    def test_unavailable_backend_explains_itself(self):
-        if "numba" in available_backends():
-            pytest.skip("numba installed in this environment")
-        with pytest.raises(ConfigurationError, match="not installed"):
-            get_backend("numba")
-
-    def test_lazy_registration(self, monkeypatch):
-        # A fresh registry repopulates itself on first lookup by importing
-        # repro.kernels (which performs the register_backend calls).
-        import sys
-        monkeypatch.setattr(backend_mod, "_REGISTRY", {})
-        monkeypatch.delitem(sys.modules, "repro.kernels", raising=False)
-        assert "numpy" in registered_backends()
+    def test_no_fused_kernel_survives_the_swap(self, reference_kernels,
+                                               monkeypatch):
+        # Load every module, so a kernel import anywhere is in view.
+        for info in pkgutil.walk_packages(repro.__path__, "repro."):
+            if info.name != "repro.__main__":
+                importlib.import_module(info.name)
+        fused = {name: getattr(numpy_fused, name) for name in KERNEL_NAMES}
+        holders = [(module, attribute, name)
+                   for module in _repro_modules()
+                   if module is not reference
+                   for attribute, value in vars(module).items()
+                   for name, kernel in fused.items() if value is kernel]
+        assert {name for _, _, name in holders} == set(KERNEL_NAMES)
+        # Distinct stand-ins for the oracles: occupancy_scan is one
+        # function object on both sides, and would otherwise pass unseen.
+        stand_ins = {name: lambda *args, **kwargs: None
+                     for name in KERNEL_NAMES}
+        for name, stand_in in stand_ins.items():
+            monkeypatch.setattr(reference, name, stand_in)
+        with reference_kernels():
+            for module, attribute, name in holders:
+                assert getattr(module, attribute) is stand_ins[name], \
+                    f"{module.__name__}.{attribute} still runs fused {name}"
+            for module in _repro_modules():
+                for attribute, value in vars(module).items():
+                    assert not any(value is kernel
+                                   for kernel in fused.values()), \
+                        f"{module.__name__}.{attribute} is a fused kernel"
+        for module, attribute, name in holders:
+            assert getattr(module, attribute) is fused[name]

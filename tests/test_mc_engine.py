@@ -1,18 +1,18 @@
 """Tests for the vectorized Monte-Carlo shadowing engine.
 
 The contract mirrors the radio and solar batch layers: the batched engine
-under ``backend="reference"`` is trial-for-trial **bit-identical** to the
-scalar reference (same generator seeding, same draw order,
-elementwise-identical arithmetic), across uniform and irregular position
-grids, zero sigma, and single-position profiles.  The fused default backend
-matches within 1e-9 while preserving the CRN prefix properties bitwise
-(kernel-level coverage lives in ``tests/test_kernels.py``).
+on the reference kernels (the shared ``reference_kernels`` swap) is
+trial-for-trial **bit-identical** to the scalar reference (same generator
+seeding, same draw order, elementwise-identical arithmetic), across uniform
+and irregular position grids, zero sigma, and single-position profiles.
+The fused kernels match within 1e-9 while preserving the CRN prefix
+properties bitwise (kernel-level coverage lives in
+``tests/test_kernels.py``).
 """
 
 import numpy as np
 import pytest
 
-from repro.backend import available_backends
 from repro.corridor.layout import CorridorLayout
 from repro.errors import ConfigurationError
 from repro.optimize.mc import (
@@ -46,18 +46,16 @@ def _synthetic_profile(positions, snr):
 
 
 class TestSampleBatch:
-    def test_matches_scalar_uniform_grid(self):
+    def test_matches_scalar_uniform_grid(self, reference_kernels):
         model = LogNormalShadowing(sigma_db=4.0)
         pos = np.arange(0.0, 500.0, 5.0)
         scalar = np.stack([model.sample(pos, rng)
                            for rng in trial_generators(7, 20)])
-        reference = model.sample_batch(pos, trial_generators(7, 20),
-                                       backend="reference")
+        with reference_kernels():
+            reference = model.sample_batch(pos, trial_generators(7, 20))
         assert np.array_equal(reference, scalar)
-        for backend in available_backends():
-            batch = model.sample_batch(pos, trial_generators(7, 20),
-                                       backend=backend)
-            np.testing.assert_allclose(batch, scalar, rtol=0.0, atol=1e-9)
+        batch = model.sample_batch(pos, trial_generators(7, 20))
+        np.testing.assert_allclose(batch, scalar, rtol=0.0, atol=1e-9)
 
     # (Irregular-grid scalar equality over the shared seed sweep lives in
     # tests/test_engine_parity.py.)
@@ -103,7 +101,7 @@ class TestOutageMatrix:
     # Ragged-grid scalar-vs-batched bit-identity over the shared seed sweep
     # lives in tests/test_engine_parity.py.
 
-    def test_irregular_positions_supported(self):
+    def test_irregular_positions_supported(self, reference_kernels):
         profiles = [
             _synthetic_profile([0.0, 3.0, 10.0, 200.0], [30.0, 29.5, 31.0, 28.0]),
             _synthetic_profile([0.0, 50.0], [35.0, 27.0]),
@@ -112,14 +110,12 @@ class TestOutageMatrix:
         shadowing = LogNormalShadowing(sigma_db=5.0, decorrelation_m=20.0)
         scalar = outage_matrix(profiles, shadowing, trials=64, seed=9,
                                engine="scalar")
-        reference = outage_matrix(profiles, shadowing, trials=64, seed=9,
-                                  backend="reference")
+        with reference_kernels():
+            reference = outage_matrix(profiles, shadowing, trials=64, seed=9)
         assert np.array_equal(reference.min_snr_db, scalar.min_snr_db)
-        for backend in available_backends():
-            batched = outage_matrix(profiles, shadowing, trials=64, seed=9,
-                                    backend=backend)
-            np.testing.assert_allclose(batched.min_snr_db, scalar.min_snr_db,
-                                       rtol=0.0, atol=1e-9)
+        batched = outage_matrix(profiles, shadowing, trials=64, seed=9)
+        np.testing.assert_allclose(batched.min_snr_db, scalar.min_snr_db,
+                                   rtol=0.0, atol=1e-9)
 
     def test_zero_sigma_reduces_to_deterministic(self):
         profiles = _profiles()
@@ -141,7 +137,7 @@ class TestOutageMatrix:
             alone = outage_matrix([profile], trials=25, seed=4)
             assert np.array_equal(alone.min_snr_db[0], joint.min_snr_db[c])
 
-    def test_z_cache_prefix_reuse_bit_identical(self):
+    def test_z_cache_prefix_reuse_bit_identical(self, reference_kernels):
         # Evaluations at different grid lengths under one (seed, trials)
         # share the memoized standard-normal matrix (prefix views); results
         # must stay bit-identical to the scalar path in any call order.
@@ -149,8 +145,8 @@ class TestOutageMatrix:
         small_first = outage_matrix([profiles[2]], trials=15, seed=21)
         big = outage_matrix(profiles, trials=15, seed=21)
         scalar = outage_matrix(profiles, trials=15, seed=21, engine="scalar")
-        big_ref = outage_matrix(profiles, trials=15, seed=21,
-                                backend="reference")
+        with reference_kernels():
+            big_ref = outage_matrix(profiles, trials=15, seed=21)
         assert np.array_equal(big_ref.min_snr_db, scalar.min_snr_db)
         np.testing.assert_allclose(big.min_snr_db, scalar.min_snr_db,
                                    rtol=0.0, atol=1e-9)
@@ -243,12 +239,13 @@ class TestOutageResultHelpers:
         low, high = result.ci95()
         assert low <= result.outage_probability <= high
 
-    def test_engine_scalar_bit_identical(self):
+    def test_engine_scalar_bit_identical(self, reference_kernels):
         layout = CorridorLayout.with_uniform_repeaters(1250.0, 1)
         scalar = outage_probability(layout, trials=30, resolution_m=10.0,
                                     engine="scalar")
-        reference = outage_probability(layout, trials=30, resolution_m=10.0,
-                                       backend="reference")
+        with reference_kernels():
+            reference = outage_probability(layout, trials=30,
+                                           resolution_m=10.0)
         assert reference.outages == scalar.outages
         assert np.array_equal(reference.min_snr_samples_db,
                               scalar.min_snr_samples_db)

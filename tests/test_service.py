@@ -109,6 +109,12 @@ class TestJobRequest:
         with pytest.raises(ConfigurationError):
             JobRequest.from_mapping({"study": MC_DOC, **payload})
 
+    def test_backend_option_is_an_unknown_key(self):
+        # Kernel selection is not a run option: the fused kernels are the
+        # only production path.
+        with pytest.raises(ConfigurationError, match="unknown request keys"):
+            JobRequest.from_mapping({"study": MC_DOC, "backend": "numpy"})
+
     def test_options_round_trip_rebuilds_request(self):
         request = JobRequest.from_mapping(
             {"study": MC_DOC, "jobs": 2, "shards": 4, "retries": 1,
@@ -298,7 +304,7 @@ class TestSliceJobs:
         spec = parse_study(json.dumps(MC_DOC))
         paths = [tmp_path / "shards" / default_manifest_name(spec, index, 2)
                  for index in range(2)]
-        manifests = [load_manifest(path) for path in paths]  # signatures ok
+        manifests = [load_manifest(path) for path in paths]  # digests ok
         assert sorted(m.worker for m in manifests) == [0, 1]
         # The attested slices merge bit-identically to an inline run.
         merged = merge_manifests(spec, paths).table.wide()
@@ -461,6 +467,22 @@ class TestCrashRecovery:
             assert rebuilt["rows"] == document["rows"]
         finally:
             third.drain(5.0)
+
+    def test_recover_ignores_a_journaled_backend_option(self, tmp_path):
+        # Journals written before kernel selection was retired carry a
+        # "backend" run option; recovery rebuilds the job without it.
+        first = JobQueue(tmp_path, workers=1)
+        first.jobstore.job_submitted(
+            job="old", study=MC_DOC["name"], compute_hash="h", client="c",
+            document=MC_DOC, options={"jobs": 1, "shards": 4,
+                                      "backend": "numpy"},
+            deadline_t=None)
+        first.jobstore.close()
+        second = JobQueue(tmp_path, workers=1)
+        assert second.recover() == 1
+        expected = JobRequest.from_mapping({"study": MC_DOC, "shards": 4})
+        assert second.get("old").request.options() == expected.options()
+        second.jobstore.close()
 
     def test_replay_folds_lifecycle_events(self, tmp_path):
         path = tmp_path / "jobs.jsonl"

@@ -1,12 +1,13 @@
 """Tests for the batched off-grid engine and the weather-tensor cache.
 
-The central guarantee mirrors ``test_batch.py``: every result out of
-:func:`repro.solar.batch.simulate_systems` under the ``"reference"``
-kernel backend is bit-identical to the scalar
+The central guarantee mirrors ``test_batch.py``: with the step-loop oracles
+of :mod:`repro.kernels.reference` swapped in (the shared
+``reference_kernels`` fixture) every result out of
+:func:`repro.solar.batch.simulate_systems` is bit-identical to the scalar
 :meth:`OffGridSystem.simulate_year` on the same system, the weather-year
 tensor is bit-identical to stacking the per-day synthesis, and weather is
-synthesized exactly once per key.  The default fused backend's tolerance
-contract (exact integers/PV sums, 1e-9 SoC-dependent floats) lives in
+synthesized exactly once per key.  The fused kernels' tolerance contract
+(exact integers/PV sums, 1e-9 SoC-dependent floats) lives in
 ``tests/test_engine_parity.py``.
 """
 
@@ -95,7 +96,8 @@ class TestBatchBitIdentity:
     # tests/test_engine_parity.py; this class keeps the heterogeneous-batch
     # and error behaviours.
 
-    def test_mixed_locations_seeds_and_loads_in_one_batch(self):
+    def test_mixed_locations_seeds_and_loads_in_one_batch(
+            self, reference_kernels):
         heavy = LoadProfile(hourly_w=(20.0,) * 24)
         systems = [
             OffGridSystem(LOCATIONS["madrid"], seed=1),
@@ -106,16 +108,18 @@ class TestBatchBitIdentity:
                           battery=Battery(capacity_wh=1440.0, charge_efficiency=0.9,
                                           discharge_cutoff=0.3)),
         ]
-        for system, result in zip(systems, simulate_systems(
-                systems, weather_cache=WeatherCache(), backend="reference")):
-            assert_results_equal(result, system.simulate_year())
+        with reference_kernels():
+            for system, result in zip(systems, simulate_systems(
+                    systems, weather_cache=WeatherCache())):
+                assert_results_equal(result, system.simulate_year())
 
-    def test_partial_year_and_initial_soc(self):
+    def test_partial_year_and_initial_soc(self, reference_kernels):
         system = OffGridSystem(LOCATIONS["berlin"], seed=5)
-        batched, = simulate_systems([system], days=45, initial_soc=0.6,
-                                    weather_cache=WeatherCache(),
-                                    backend="reference")
-        assert_results_equal(batched, system.simulate_year(days=45, initial_soc=0.6))
+        with reference_kernels():
+            batched, = simulate_systems([system], days=45, initial_soc=0.6,
+                                        weather_cache=WeatherCache())
+            assert_results_equal(
+                batched, system.simulate_year(days=45, initial_soc=0.6))
 
     def test_empty_batch(self):
         assert simulate_systems([]) == []
@@ -222,10 +226,11 @@ class TestWeatherCache:
 
 class TestRoutedConsumers:
     @pytest.mark.parametrize("key", ALL_LOCATIONS)
-    def test_sizing_engines_agree(self, key):
-        batch = find_minimal_system(LOCATIONS[key], weather_cache=WeatherCache(),
-                                    backend="reference")
-        scalar = find_minimal_system(LOCATIONS[key], engine="scalar")
+    def test_sizing_engines_agree(self, key, reference_kernels):
+        with reference_kernels():
+            batch = find_minimal_system(LOCATIONS[key],
+                                        weather_cache=WeatherCache())
+            scalar = find_minimal_system(LOCATIONS[key], engine="scalar")
         assert (batch.pv_peak_w, batch.battery_capacity_wh) == \
             (scalar.pv_peak_w, scalar.battery_capacity_wh)
         assert batch.rejected == scalar.rejected
@@ -235,12 +240,13 @@ class TestRoutedConsumers:
         with pytest.raises(ConfigurationError):
             find_minimal_system(LOCATIONS["madrid"], engine="magic")
 
-    def test_lifetime_engines_agree(self):
-        batch = project_lifetime(LOCATIONS["vienna"], 540.0, 1440.0,
-                                 service_years=4, weather_cache=WeatherCache(),
-                                 backend="reference")
-        scalar = project_lifetime(LOCATIONS["vienna"], 540.0, 1440.0,
-                                  service_years=4, engine="scalar")
+    def test_lifetime_engines_agree(self, reference_kernels):
+        with reference_kernels():
+            batch = project_lifetime(LOCATIONS["vienna"], 540.0, 1440.0,
+                                     service_years=4,
+                                     weather_cache=WeatherCache())
+            scalar = project_lifetime(LOCATIONS["vienna"], 540.0, 1440.0,
+                                      service_years=4, engine="scalar")
         assert len(batch.years) == len(scalar.years)
         for b, s in zip(batch.years, scalar.years):
             assert b.year == s.year
@@ -258,31 +264,34 @@ class TestRoutedConsumers:
         result = OffGridSystem(LOCATIONS["madrid"], load=load).simulate_year()
         assert annual_load_wh(load) / 1000.0 == result.annual_load_kwh
 
-    def test_simulate_candidates_order_and_identity(self):
+    def test_simulate_candidates_order_and_identity(self, reference_kernels):
         candidates = ((360.0, 720.0), (540.0, 1440.0))
-        results = simulate_candidates(LOCATIONS["vienna"], candidates,
-                                      weather_cache=WeatherCache(),
-                                      backend="reference")
+        with reference_kernels():
+            results = simulate_candidates(LOCATIONS["vienna"], candidates,
+                                          weather_cache=WeatherCache())
+            scalars = [OffGridSystem(LOCATIONS["vienna"],
+                                     pv=PvArray(peak_w=pv),
+                                     battery=Battery(capacity_wh=wh)
+                                     ).simulate_year()
+                       for pv, wh in candidates]
         assert [(r.pv_peak_w, r.battery_capacity_wh) for r in results] == \
             list(candidates)
-        for (pv, wh), result in zip(candidates, results):
-            system = OffGridSystem(LOCATIONS["vienna"], pv=PvArray(peak_w=pv),
-                                   battery=Battery(capacity_wh=wh))
-            assert_results_equal(result, system.simulate_year())
+        for result, scalar in zip(results, scalars):
+            assert_results_equal(result, scalar)
 
 
 class TestTable4Grid:
-    def test_grid_experiment_matches_scalar(self):
+    def test_grid_experiment_matches_scalar(self, reference_kernels):
         from repro.experiments.table4 import run_table4_grid
-        grid = run_table4_grid(pv_peaks=(540.0, 600.0),
-                               battery_whs=(720.0, 1440.0),
-                               weather_cache=WeatherCache(),
-                               backend="reference")
-        assert set(grid.results) == {"madrid", "lyon", "vienna", "berlin"}
-        result = grid.results["berlin"][(600.0, 1440.0)]
         system = OffGridSystem(LOCATIONS["berlin"], pv=PvArray(peak_w=600.0),
                                battery=Battery(capacity_wh=1440.0))
-        assert_results_equal(result, system.simulate_year())
+        with reference_kernels():
+            grid = run_table4_grid(pv_peaks=(540.0, 600.0),
+                                   battery_whs=(720.0, 1440.0),
+                                   weather_cache=WeatherCache())
+            scalar = system.simulate_year()
+        assert set(grid.results) == {"madrid", "lyon", "vienna", "berlin"}
+        assert_results_equal(grid.results["berlin"][(600.0, 1440.0)], scalar)
         # The paper's outcomes are a cross-section of the grid.
         assert grid.minimal_battery_wh("madrid", 540.0) == 720.0
         assert grid.minimal_battery_wh("vienna", 540.0) == 1440.0

@@ -326,8 +326,8 @@ class TestResults:
         assert "metadata" not in plain
         tagged = json.loads(table.write_json(
             tmp_path / "t.json",
-            metadata={"backend": "reference"}).read_text())
-        assert tagged["metadata"] == {"backend": "reference"}
+            metadata={"workers": 2}).read_text())
+        assert tagged["metadata"] == {"workers": 2}
         assert tagged["rows"] == plain["rows"]
 
     def test_json_nan_becomes_null(self, tmp_path):
@@ -386,29 +386,23 @@ fixed:
         assert scalar["outage_probability"] == batched["outage_probability"]
         assert scalar["median_min_snr_db"] == batched["median_min_snr_db"]
 
-    def test_backend_context_reference_matches_scalar(self):
-        # The reference backend routed through the study context reproduces
-        # the scalar escape hatch bit for bit; the default fused backend
-        # stays inside its 1e-9 parity budget on the same grid.
+    def test_backend_context_reference_matches_scalar(self,
+                                                      reference_kernels):
+        # The reference kernels, run through the study runner, reproduce
+        # the scalar escape hatch bit for bit; the fused kernels stay
+        # inside their 1e-9 parity budget on the same grid.
         spec = mc_spec()
         scalar = run_study(
             spec.with_overrides(engine="scalar")).table.wide()
-        reference = run_study(
-            spec, context={"backend": "reference"}).table.wide()
-        fused = run_study(spec, context={"backend": "numpy"}).table.wide()
+        with reference_kernels():
+            reference = run_study(spec).table.wide()
+        fused = run_study(spec).table.wide()
         assert reference["outage_probability"] == scalar["outage_probability"]
         assert reference["median_min_snr_db"] == scalar["median_min_snr_db"]
         assert fused["outage_probability"] == scalar["outage_probability"]
         for got, want in zip(fused["median_min_snr_db"],
                              scalar["median_min_snr_db"]):
             assert abs(got - want) <= 1e-9
-
-    def test_backend_context_crosses_process_pool(self):
-        spec = mc_spec()
-        inline = run_study(spec, context={"backend": "reference"}).table
-        pooled = run_study(spec, jobs=2, shards=2,
-                           context={"backend": "reference"}).table
-        assert pooled.wide() == inline.wide()
 
     def test_sim_unknown_policy_rejected(self):
         spec = parse_study("""
@@ -560,21 +554,6 @@ class TestStudyCli:
         assert (tmp_path / "out.csv").exists()
         assert json.loads((tmp_path / "out.json").read_text())["engine"] == "mc"
 
-    def test_backend_flag_tags_json_output(self, tmp_path, capsys):
-        path = self._write(tmp_path)
-        code = main(["study", "run", str(path), "--quiet",
-                     "--backend", "reference",
-                     "--json", str(tmp_path / "out.json")])
-        assert code == 0
-        document = json.loads((tmp_path / "out.json").read_text())
-        assert document["metadata"] == {"backend": "reference"}
-
-    def test_backend_flag_rejects_unknown(self, tmp_path, capsys):
-        path = self._write(tmp_path)
-        assert main(["study", "run", str(path), "--quiet",
-                     "--backend", "fortran"]) == 1
-        assert "unknown backend" in capsys.readouterr().err
-
     def test_resume_requires_store(self, tmp_path):
         path = self._write(tmp_path)
         with pytest.raises(SystemExit):
@@ -627,68 +606,7 @@ class TestStudyCli:
         assert "Traceback" not in err
 
 
-# -- store guards (ISSUE-10 satellites) ---------------------------------------
-
-
-class TestStoreBackendGuard:
-    """A store records the kernel backend that computed it; a resume that
-    would compute *new* shards under a different backend must fail loudly
-    (mixed-backend stores are only tolerance-equal, never bit-identical)
-    instead of being silently accepted."""
-
-    def _seed_store(self, tmp_path):
-        spec = mc_spec()
-        store = StudyStore(maxsize=8, cache_dir=tmp_path / "store")
-        run_study(spec, shards=4, store=store)
-        return spec, store
-
-    def _drop_one_bundle(self, spec, tmp_path):
-        bundle = sorted((tmp_path / "store").glob(
-            f"{spec.compute_hash[:40]}-*.npz"))[0]
-        bundle.unlink()
-
-    def test_pure_reuse_never_trips_the_guard(self, tmp_path):
-        spec, _ = self._seed_store(tmp_path)
-        # Nothing pending -> nothing mixes, any backend may read.
-        fresh = StudyStore(maxsize=8, cache_dir=tmp_path / "store")
-        report = run_study(spec, shards=4, store=fresh,
-                           context={"backend": "reference"})
-        assert report.computed_shards == 0
-
-    def test_resume_with_other_backend_refused(self, tmp_path):
-        spec, store = self._seed_store(tmp_path)
-        assert store.run_metadata(spec)["backend"] == "numpy"
-        self._drop_one_bundle(spec, tmp_path)
-        fresh = StudyStore(maxsize=8, cache_dir=tmp_path / "store")
-        with pytest.raises(ConfigurationError, match="backend"):
-            run_study(spec, shards=4, store=fresh,
-                      context={"backend": "reference"})
-
-    def test_force_backend_accepts_and_rerecords(self, tmp_path):
-        spec, _ = self._seed_store(tmp_path)
-        self._drop_one_bundle(spec, tmp_path)
-        fresh = StudyStore(maxsize=8, cache_dir=tmp_path / "store")
-        report = run_study(spec, shards=4, store=fresh,
-                           context={"backend": "reference"},
-                           force_backend=True)
-        assert report.computed_shards == 1
-        assert fresh.run_metadata(spec)["backend"] == "reference"
-
-    def test_cli_resume_backend_mismatch(self, tmp_path, capsys):
-        path = tmp_path / "study.yaml"
-        path.write_text(MC_TEXT)
-        store = tmp_path / "store"
-        assert main(["study", "run", str(path), "--quiet",
-                     "--store", str(store)]) == 0
-        spec = mc_spec()
-        sorted(store.glob(f"{spec.compute_hash[:40]}-*.npz"))[0].unlink()
-        assert main(["study", "resume", str(path), "--quiet",
-                     "--store", str(store),
-                     "--backend", "reference"]) == 1
-        assert "backend" in capsys.readouterr().err
-        assert main(["study", "resume", str(path), "--quiet",
-                     "--store", str(store), "--backend", "reference",
-                     "--force"]) == 0
+# -- store guards ------------------------------------------------------------
 
 
 class TestLayoutMismatchWarning:

@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Calibration pass for the fronthaul-noise parameter (DESIGN.md #4.1).
+"""Calibration pass for the fronthaul-noise parameter (docs/reproducing.md,
+"The 29 dB ISD criterion and repeater noise").
 
 The amplify-and-forward repeater-noise models have one free parameter: the
 fronthaul SNR at 1 km donor-service separation (``FronthaulParams.
